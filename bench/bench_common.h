@@ -87,8 +87,8 @@ struct BenchEntry {
   std::string circuit;
   double wall_s = 0.0;
   long vector_trials = 0;
-  std::string cache = "off";  ///< justify-cache mode: off/shared/per-worker
-  std::string tier = "both";  ///< justify tier: implication/solver/both/adaptive
+  std::string cache = "off";  ///< justify-cache mode: off/shared
+  std::string tier = "both";  ///< justify tier: implication/both/adaptive
   int threads = 1;
 };
 

@@ -88,16 +88,12 @@ void BM_Justification(benchmark::State& state) {
 }
 BENCHMARK(BM_Justification);
 
-// --- packed vs scalar goal refutation -------------------------------------
-// The bit-parallel trial kernel's headline claim: refuting a 64-lane batch
-// of candidate steady-goal conjunctions in ONE levelized sweep must beat 64
-// scalar implication closures by a wide margin (the acceptance floor is 4x
-// on lanes/second).  The batch mirrors the pathfinder's prescreen shape:
-// lanes are alternative sensitization vectors for the SAME gate, so every
-// lane asserts the same side-input nets and only the values differ — the
-// lanes share one union cone, which is exactly the case word-packing pays
-// off in.  Both benches process the identical pre-generated batch so the
-// items/sec counters are directly comparable.
+// --- implication-closure goal refutation --------------------------------
+// The memo cache's first refutation tier: 64 candidate steady-goal
+// conjunctions, each asserted and closed on one state and rolled back.
+// The batch mirrors the pathfinder's trial shape: the conjunctions are
+// alternative sensitization vectors for the SAME gate, so every one asserts
+// the same side-input nets and only the values differ.
 std::vector<std::vector<sta::Goal>> refutation_batch(
     const netlist::Netlist& nl) {
   util::Rng rng(424242);
@@ -129,28 +125,9 @@ void BM_ScalarGoalRefutation(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(survivors);
   }
-  state.SetItemsProcessed(state.iterations() * 64);  // lanes/second
+  state.SetItemsProcessed(state.iterations() * 64);  // conjunctions/second
 }
 BENCHMARK(BM_ScalarGoalRefutation);
-
-void BM_PackedGoalRefutation(benchmark::State& state) {
-  const netlist::Netlist& nl = mapped_c432();
-  const auto batch = refutation_batch(nl);
-  sta::AssignmentState st(nl.num_nets());
-  sta::PackedImplicationEngine packed(nl, st);
-  for (auto _ : state) {
-    packed.begin_sweep(~std::uint64_t{0}, sta::kScenarioBoth);
-    for (int l = 0; l < 64; ++l) {
-      for (const sta::Goal& goal : batch[l]) packed.assert_goal(l, goal);
-    }
-    packed.sweep();
-    unsigned survivors = 0;
-    for (int l = 0; l < 64; ++l) survivors += packed.refuted(l);
-    benchmark::DoNotOptimize(survivors);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);  // lanes/second
-}
-BENCHMARK(BM_PackedGoalRefutation);
 
 void BM_PathEnumerationC17(benchmark::State& state) {
   const auto mapped = netlist::tech_map(

@@ -29,12 +29,10 @@
 #include "netlist/bench_parser.h"
 #include "netlist/iscas_gen.h"
 #include "netlist/techmap.h"
-#include "sta/implication.h"
 #include "sta/justify_cache.h"
 #include "sta/sta_tool.h"
 #include "util/flight_recorder.h"
 #include "util/metrics.h"
-#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -102,6 +100,7 @@ DevelopedRun run_developed(const netlist::Netlist& nl,
   DevelopedRun out;
   sta::DelayCalculator calc(nl, cl, tech);
   sta::PathFinderOptions opt;
+  opt.justify_cache = sta::JustifyCacheMode::kOff;
   opt.max_seconds = fast_mode() ? 5.0 : 60.0;
   opt.max_paths = fast_mode() ? 200000 : 5000000;
   opt.metrics = metrics;
@@ -270,6 +269,7 @@ int run() {
     std::vector<std::string> reference_keys;
     for (const int threads : {1, 2, 4, 8}) {
       sta::PathFinderOptions opt;
+      opt.justify_cache = sta::JustifyCacheMode::kOff;
       opt.num_threads = threads;
       opt.metrics = metrics;
       sta::PathFinder finder(nl, cl, opt);
@@ -303,7 +303,7 @@ int run() {
 
   // Cross-thread justification memo cache: the same exhaustive enumeration
   // at 8 threads, --justify-cache off vs shared, the latter at each
-  // refutation tier (implication-only / solver-only / both / adaptive).
+  // refutation tier (implication-only / both / adaptive).
   // The cache and the tier choice may only change how much work is done,
   // never what is found: the delivered path list must be byte-identical
   // (full keys, order included) at every tier and vector_trials must not
@@ -371,7 +371,6 @@ int run() {
         const char* label;
         sta::JustifyTier tier;
       } tiers[] = {{"implication", sta::JustifyTier::kImplication},
-                   {"solver", sta::JustifyTier::kSolver},
                    {"both", sta::JustifyTier::kBoth},
                    {"adaptive", sta::JustifyTier::kAdaptive}};
       for (const auto& [tier_label, tier] : tiers) {
@@ -443,125 +442,6 @@ int run() {
                  "refuted by a memoized\ncomponent CONFLICT)\n";
   }
 
-  // Word-packed trial evaluation: the same exhaustive enumeration with the
-  // candidate-vector prescreen running 1 (scalar), 16, or 32 lanes per
-  // sweep.  Packing is strictly result-neutral — the delivered path list
-  // must be byte-identical and vector_trials must not change; only the
-  // sweep/refutation counters and the CPU time may move.  Lane width is
-  // encoded in the trajectory entry's circuit label ("<name>/lanesN") so
-  // the sasta-bench-v1 schema stays unchanged.
-  {
-    print_title("Packed trial evaluation (--trial-lanes sweep, 8 threads)");
-    const std::vector<int> lwidths{14, 7, 8, 9, 9, 9, 10, 10};
-    print_row({"circuit", "lanes", "cpu_s", "paths", "trials", "sweeps",
-               "refuted", "identical"},
-              lwidths);
-
-    std::vector<std::string> lane_circuits{"memo16"};
-    if (!fast_mode()) lane_circuits.push_back("c432");
-    for (const auto& name : lane_circuits) {
-      netlist::PrimNetlist prim;
-      if (name == "memo16") {
-        netlist::GeneratorProfile prof;
-        prof.name = "memo16";
-        prof.num_inputs = 16;
-        prof.num_outputs = 8;
-        prof.num_gates = fast_mode() ? 80 : 140;
-        prof.depth = 8;
-        prof.seed = 42;
-        prim = netlist::generate_iscas_like(prof);
-      } else {
-        prim = netlist::generate_iscas_like(netlist::iscas_profile(name));
-      }
-      const auto mapped = netlist::tech_map(prim, library());
-      const netlist::Netlist& nl = mapped.netlist;
-
-      std::vector<std::string> reference_keys;
-      for (const int lanes : {1, 16, 32}) {
-        sta::PathFinderOptions opt;
-        opt.num_threads = 8;
-        opt.justify_cache = sta::JustifyCacheMode::kShared;
-        opt.trial_lanes = lanes;
-        sta::PathFinder finder(nl, cl, opt);
-        std::vector<std::string> keys;
-        const sta::PathFinderStats stats = finder.run(
-            [&](const sta::TruePath& p) { keys.push_back(p.full_key(nl)); });
-        bench_json.add({name + "/lanes" + std::to_string(lanes),
-                        stats.cpu_seconds, stats.vector_trials, "shared",
-                        "both", 8});
-        if (lanes == 1) reference_keys = keys;
-        print_row({name, std::to_string(lanes),
-                   util::format_fixed(stats.cpu_seconds, 2),
-                   std::to_string(stats.paths_recorded),
-                   std::to_string(stats.vector_trials),
-                   std::to_string(stats.packed_sweeps),
-                   std::to_string(stats.lanes_refuted),
-                   keys == reference_keys ? "yes" : "NO (BUG)"},
-                  lwidths);
-      }
-    }
-    std::cout << "(sweeps = packed prescreens run, refuted = candidate "
-                 "vectors killed in-word before\nany scalar trial; trials "
-                 "and the path list itself are lane-invariant by "
-                 "construction)\n";
-
-    // Raw refutation-kernel pair, recorded in the trajectory JSON: one
-    // 64-lane batch of value-combo conjunctions over shared nets (the
-    // pathfinder's prescreen shape), scalar closures vs one packed sweep.
-    // The acceptance floor is packed >= 4x scalar on lanes/second, i.e.
-    // kernel/refute_scalar wall_s >= 4x kernel/refute_packed64 wall_s.
-    {
-      const auto mapped = netlist::tech_map(
-          netlist::generate_iscas_like(netlist::iscas_profile("c432")),
-          library());
-      const netlist::Netlist& nl = mapped.netlist;
-      util::Rng rng(424242);
-      std::vector<netlist::NetId> nets;
-      for (int i = 0; i < 6; ++i) {
-        nets.push_back(
-            static_cast<netlist::NetId>(rng.next_below(nl.num_nets() / 2)));
-      }
-      std::vector<std::vector<sta::Goal>> batch(64);
-      for (auto& goals : batch) {
-        for (const netlist::NetId n : nets) goals.push_back({n, rng.next_bool()});
-      }
-      const int reps = fast_mode() ? 200 : 2000;
-      sta::AssignmentState st(nl.num_nets());
-      sta::ImplicationEngine scalar_eng(nl, st);
-      sta::PackedImplicationEngine packed_eng(nl, st);
-      unsigned sink = 0;
-      util::Stopwatch scalar_watch;
-      for (int rep = 0; rep < reps; ++rep) {
-        for (const auto& goals : batch) {
-          const sta::AssignmentState::Mark m = st.mark();
-          sink += scalar_eng.assign_steady_goals(goals, sta::kScenarioBoth);
-          st.rollback(m);
-        }
-      }
-      const double scalar_s = scalar_watch.elapsed_seconds();
-      util::Stopwatch packed_watch;
-      for (int rep = 0; rep < reps; ++rep) {
-        packed_eng.begin_sweep(~std::uint64_t{0}, sta::kScenarioBoth);
-        for (int l = 0; l < 64; ++l) {
-          for (const sta::Goal& g : batch[l]) packed_eng.assert_goal(l, g);
-        }
-        packed_eng.sweep();
-        for (int l = 0; l < 64; ++l) sink += packed_eng.refuted(l);
-      }
-      const double packed_s = packed_watch.elapsed_seconds();
-      const long lanes = static_cast<long>(reps) * 64;
-      bench_json.add({"kernel/refute_scalar", scalar_s, lanes, "off",
-                      "implication", 1});
-      bench_json.add({"kernel/refute_packed64", packed_s, lanes, "off",
-                      "implication", 1});
-      std::cout << "refutation kernel (c432, " << lanes << " lanes): scalar "
-                << util::format_fixed(scalar_s * 1e3, 1) << " ms, packed "
-                << util::format_fixed(packed_s * 1e3, 1) << " ms, "
-                << util::format_fixed(scalar_s / packed_s, 2)
-                << "x lanes/second (sink " << sink << ")\n";
-    }
-  }
-
   // Flight-recorder overhead: the same exhaustive enumeration with the
   // per-worker recorder off vs on (event rings + activity slots armed,
   // everything the CLI default enables).  Recording is strictly
@@ -607,7 +487,6 @@ int run() {
         util::FlightRecorder rec(cfg);
         sta::PathFinderOptions opt;
         opt.num_threads = 8;
-        opt.justify_cache = sta::JustifyCacheMode::kShared;
         if (recorder) opt.flight = &rec;
         sta::PathFinder finder(nl, cl, opt);
         std::vector<std::string> keys;
@@ -686,6 +565,7 @@ int run() {
                               sta::ScheduleMode schedule, int threads,
                               SchedSide* side) {
       sta::PathFinderOptions opt;
+      opt.justify_cache = sta::JustifyCacheMode::kOff;
       opt.schedule = schedule;
       opt.num_threads = threads;
       sta::PathFinder finder(nl, cl, opt);

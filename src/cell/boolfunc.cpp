@@ -62,26 +62,6 @@ TriVal TruthTable::eval3(std::span<const logicsys::TriVal> inputs) const {
   return saw1 ? TriVal::kOne : TriVal::kZero;
 }
 
-logicsys::TriPlanes TruthTable::eval3_packed(
-    std::span<const logicsys::TriPlanes> inputs) const {
-  SASTA_CHECK(static_cast<int>(inputs.size()) == num_inputs_)
-      << " input count " << inputs.size() << " vs " << num_inputs_;
-  constexpr std::uint64_t kAll = ~std::uint64_t{0};
-  std::uint64_t out0 = 0;
-  std::uint64_t out1 = 0;
-  for (std::uint32_t m = 0; m < num_minterms(); ++m) {
-    std::uint64_t& acc = value(m) ? out1 : out0;
-    if (acc == kAll) continue;  // this polarity is already possible everywhere
-    std::uint64_t t = kAll;
-    for (int i = 0; i < num_inputs_ && t != 0; ++i) {
-      t &= ((m >> i) & 1u) != 0 ? inputs[i].can1 : inputs[i].can0;
-    }
-    acc |= t;
-    if (out0 == kAll && out1 == kAll) break;
-  }
-  return {out0, out1};
-}
-
 std::vector<Cube> TruthTable::prime_cubes(bool target) const {
   const std::uint32_t full_care = (1u << num_inputs_) - 1;
   // Quine-McCluskey style merging.  Start from target minterms as full cubes.

@@ -48,16 +48,6 @@ class TruthTable {
   /// Three-valued evaluation: exact (enumerates the X inputs, <= 2^6 cases).
   logicsys::TriVal eval3(std::span<const logicsys::TriVal> inputs) const;
 
-  /// Bit-sliced counterpart of eval3: evaluates all 64 lanes of the packed
-  /// possibility-set planes at once.  Exact per lane — output bit b is
-  /// possible iff some minterm consistent with the lane's input sets maps
-  /// to b — so extracting any non-conflicted lane agrees with eval3 on that
-  /// lane's scalar inputs, and a lane with an empty input set (⊥) yields an
-  /// empty output set.  One pass over the minterms, each costing at most
-  /// `num_inputs` word-ANDs for the whole lane batch.
-  logicsys::TriPlanes eval3_packed(
-      std::span<const logicsys::TriPlanes> inputs) const;
-
   /// All prime cubes c with f|c == target (ON-set or OFF-set primes).
   /// Sorted by ascending literal count, i.e. "easiest to justify" first.
   std::vector<Cube> prime_cubes(bool target) const;

@@ -8,20 +8,6 @@ bool NineVal::refines(const NineVal& other) const {
   return init_more || fin_more;
 }
 
-std::string NinePlanes::to_string(int lanes) const {
-  std::string s;
-  const std::uint64_t bad = conflicts();
-  for (int l = 0; l < lanes; ++l) {
-    if (l > 0) s += '|';
-    if ((bad >> l) & 1u) {
-      s += '!';
-    } else {
-      s += lane(l).to_string();
-    }
-  }
-  return s;
-}
-
 std::string NineVal::to_string() const {
   if (*this == stable0()) return "0";
   if (*this == stable1()) return "1";

@@ -61,45 +61,4 @@ struct NineVal {
   std::string to_string() const;
 };
 
-/// Bit-sliced encoding of one NineVal across up to 64 lanes: one
-/// possibility-set plane pair (TriPlanes) per transition slot, four planes
-/// total.  This is the per-net unit of the packed trial-evaluation kernel
-/// (sta/implication.h): each lane carries one candidate sensitization
-/// vector's closure, and every plane operation — fill, meet, conflict
-/// detection — advances all lanes in a handful of word ops.
-struct NinePlanes {
-  TriPlanes init;
-  TriPlanes fin;
-
-  bool operator==(const NinePlanes&) const = default;
-
-  /// All lanes at the same scalar NineVal.
-  static NinePlanes fill(const NineVal& v) {
-    return {TriPlanes::fill(v.init), TriPlanes::fill(v.fin)};
-  }
-
-  NinePlanes meet(const NinePlanes& o) const {
-    return {init.meet(o.init), fin.meet(o.fin)};
-  }
-
-  /// Lanes contradicted in either slot (a NineVal is ⊥ as soon as one of
-  /// its components has an empty value set).
-  std::uint64_t conflicts() const {
-    return init.conflicts() | fin.conflicts();
-  }
-
-  /// Scalar value of one lane; lane must not be conflicted.
-  NineVal lane(int l) const { return {init.lane(l), fin.lane(l)}; }
-
-  /// Constrains lane `l` to the steady value `v` in both slots.
-  void constrain_steady(int l, bool v) {
-    init.constrain(l, v);
-    fin.constrain(l, v);
-  }
-
-  /// Display form for diagnostics: lane values joined by '|', lowest lane
-  /// first, '!' for a conflicted lane.
-  std::string to_string(int lanes) const;
-};
-
 }  // namespace sasta::logicsys

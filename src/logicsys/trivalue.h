@@ -56,47 +56,4 @@ inline char tri_char(TriVal a) {
 
 inline TriVal tri_from_bool(bool b) { return b ? TriVal::kOne : TriVal::kZero; }
 
-/// Bit-sliced possibility-set encoding of one TriVal across up to 64 lanes
-/// (PPSFP-style word packing).  Bit `l` of `can0` / `can1` says whether lane
-/// l's value set still contains 0 / 1:
-///
-///   0 -> can0 only,  1 -> can1 only,  X -> both,  neither -> conflict (⊥)
-///
-/// The meet of two sets is the planewise AND; a lane whose set goes empty is
-/// contradicted.  ⊥ is representable here (unlike TriVal) because the packed
-/// sweep must keep propagating the surviving lanes of the word after some
-/// lanes have already conflicted.
-struct TriPlanes {
-  std::uint64_t can0 = ~std::uint64_t{0};
-  std::uint64_t can1 = ~std::uint64_t{0};
-
-  bool operator==(const TriPlanes&) const = default;
-
-  /// All lanes at the same scalar value.
-  static TriPlanes fill(TriVal t) {
-    return {t != TriVal::kOne ? ~std::uint64_t{0} : 0,
-            t != TriVal::kZero ? ~std::uint64_t{0} : 0};
-  }
-
-  /// Planewise set intersection.
-  TriPlanes meet(const TriPlanes& o) const {
-    return {can0 & o.can0, can1 & o.can1};
-  }
-
-  /// Lanes whose value set is empty (contradicted).
-  std::uint64_t conflicts() const { return ~(can0 | can1); }
-
-  /// Scalar value of one lane; lane must not be conflicted.
-  TriVal lane(int l) const {
-    const bool c0 = (can0 >> l) & 1u;
-    const bool c1 = (can1 >> l) & 1u;
-    return c0 ? (c1 ? TriVal::kX : TriVal::kZero) : TriVal::kOne;
-  }
-
-  /// Constrains lane `l` to the single value `v` (meet with {v}).
-  void constrain(int l, bool v) {
-    (v ? can0 : can1) &= ~(std::uint64_t{1} << l);
-  }
-};
-
 }  // namespace sasta::logicsys

@@ -9,7 +9,7 @@
 //   search   re-enumerate true paths, but only for *dirty* sources (cold
 //            start: all of them; warm repeat: none; after an ECO: the
 //            cones sta::compute_eco_impact dirties).  Runs the unchanged
-//            PathFinder (schedule/steal, trial lanes, tiers) restricted
+//            PathFinder (schedule/steal, cache, tiers) restricted
 //            via PathFinderOptions::source_filter, with the session's
 //            memo table lent through external_cache.
 //   re-time  recompute TimedPaths for sources whose timing is stale

@@ -56,10 +56,11 @@ EcoImpact compute_eco_impact(const netlist::Netlist& nl,
     }
   }
 
-  // Reverse walk through drivers: the PI support of the marked cone is
-  // exactly the set of sources whose own fanout cone meets TFO(A).
+  // Reverse walk through drivers: the PI support of the marked primary
+  // outputs is exactly the set of sources whose own fanout cone meets the
+  // output-reaching part of TFO(A).
   std::vector<bool> visited(nl.num_nets(), false);
-  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+  for (const netlist::NetId n : nl.primary_outputs()) {
     if (marked[n] && !visited[n]) {
       visited[n] = true;
       frontier.push_back(n);

@@ -28,13 +28,23 @@
 // in R(s) is an output of, an input of, or loaded by any instance in A...
 // more precisely: every function above is evaluated over cells, scales
 // and connectivity that the edit left untouched, so the search from s —
-// and the delays of its paths — are bit-identical to a cold run.  Hence:
+// and the delays of its paths — are bit-identical to a cold run.
 //
-//   dirty(s)  ⇔  TFO(s) ∩ TFO(A) ≠ ∅
-//             ⇔  s ∈ PI-support of some net in TFO(A),
+// Logic that drives no primary output never matters: the DFS walks only
+// nets that reach an output, and every net in the fanin of such a net
+// reaches one too.  A dead instance hanging off a walked net matters only
+// through its pin load, and editing it puts that net's driver in A.  So
+// only the output-reaching part of TFO(A) counts, and since TFO(A) is
+// closed under fanout, a net in it that reaches an output reaches one
+// inside it.  Hence:
+//
+//   dirty(s)  ⇔  TFO(s) ∩ TFO(A) ∩ reach ≠ ∅
+//             ⇔  s ∈ PI-support of some primary output in TFO(A),
 //
 // computed here as one forward BFS from A's outputs (marking TFO(A))
-// plus one reverse walk through drivers collecting the PI support.
+// plus one reverse walk through drivers from the marked primary outputs.
+// Every PI the walk finds reaches an output, so dirty_sources is always
+// a subset of the PathFinder's source universe.
 // Connectivity itself never changes (netlist::replace_cell /
 // set_drive_scale keep every pin and fanout list intact), so the
 // PathFinder's source universe is stable across edits and "clean" means
@@ -52,7 +62,8 @@ namespace sasta::sta {
 /// Cones an ECO edit can influence.
 struct EcoImpact {
   /// Dirty source PIs (nets), in primary-input order — the subset of the
-  /// PathFinder's source universe that must be re-searched/re-timed.
+  /// PathFinder's source universe (PIs that reach a primary output) that
+  /// must be re-searched/re-timed.
   std::vector<netlist::NetId> dirty_sources;
   /// Indexed by net id: true exactly for the nets in dirty_sources.
   std::vector<bool> dirty;

@@ -1,16 +1,10 @@
 #include "sta/implication.h"
 
 #include <array>
-#include <bit>
-
-#include "netlist/levelize.h"
-#include "util/check.h"
 
 namespace sasta::sta {
 
-using logicsys::NinePlanes;
 using logicsys::NineVal;
-using logicsys::TriPlanes;
 using logicsys::TriVal;
 
 DualVal ImplicationEngine::evaluate(netlist::InstId inst) const {
@@ -90,134 +84,6 @@ ImplicationEngine::Result ImplicationEngine::assign_dual(netlist::NetId n,
     res.conflict |= p.conflict;
   }
   return res;
-}
-
-// --- Packed engine ----------------------------------------------------------
-
-PackedImplicationEngine::PackedImplicationEngine(const netlist::Netlist& nl,
-                                                 const AssignmentState& state)
-    : nl_(nl), state_(state) {
-  planes_.resize(nl.num_nets());
-  net_stamp_.assign(nl.num_nets(), 0);
-  inst_stamp_.assign(nl.num_instances(), 0);
-  const netlist::Levelization lv = netlist::levelize(nl);
-  inst_level_.resize(nl.num_instances());
-  for (int i = 0; i < nl.num_instances(); ++i) {
-    inst_level_[i] = lv.net_level[nl.instance(i).output];
-  }
-  level_buckets_.resize(lv.max_level + 1);
-  bucket_stamp_.assign(lv.max_level + 1, 0);
-}
-
-void PackedImplicationEngine::begin_sweep(std::uint64_t active_lanes,
-                                          unsigned alive) {
-  ++epoch_;
-  active_ = active_lanes;
-  alive_ = alive & kScenarioBoth;
-  conflict_[0] = 0;
-  conflict_[1] = 0;
-}
-
-PackedImplicationEngine::NetPlanes& PackedImplicationEngine::touch(
-    netlist::NetId n) {
-  NetPlanes& p = planes_[n];
-  if (net_stamp_[n] != epoch_) {
-    net_stamp_[n] = epoch_;
-    const DualVal& v = state_.value(n);
-    p.s[0] = NinePlanes::fill(v.r);
-    p.s[1] = NinePlanes::fill(v.f);
-  }
-  return p;
-}
-
-void PackedImplicationEngine::queue_fanout(netlist::NetId n) {
-  for (const netlist::Fanout& f : nl_.net(n).fanouts) {
-    if (inst_stamp_[f.inst] == epoch_) continue;
-    inst_stamp_[f.inst] = epoch_;
-    const int lvl = inst_level_[f.inst];
-    if (bucket_stamp_[lvl] != epoch_) {
-      bucket_stamp_[lvl] = epoch_;
-      level_buckets_[lvl].clear();
-    }
-    level_buckets_[lvl].push_back(f.inst);
-  }
-}
-
-void PackedImplicationEngine::assert_goal(int lane, const Goal& goal) {
-  NetPlanes& p = touch(goal.net);
-  for (int s = 0; s < 2; ++s) {
-    const unsigned bit = s == 0 ? kScenarioR : kScenarioF;
-    if (!(alive_ & bit)) continue;
-    p.s[s].constrain_steady(lane, goal.value);
-    conflict_[s] |= p.s[s].conflicts() & active_;
-  }
-  queue_fanout(goal.net);
-}
-
-bool PackedImplicationEngine::all_lanes_done() const {
-  std::uint64_t done = active_;
-  if (alive_ & kScenarioR) done &= conflict_[0];
-  if (alive_ & kScenarioF) done &= conflict_[1];
-  return done == active_;
-}
-
-void PackedImplicationEngine::eval_and_refine(netlist::InstId ii) {
-  const netlist::Instance& g = nl_.instance(ii);
-  const int n = g.cell->num_inputs();
-  const cell::TruthTable& tt = g.cell->function();
-  std::array<TriPlanes, 8> init_in, fin_in;
-  bool narrowed = false;
-  for (int s = 0; s < 2; ++s) {
-    const unsigned bit = s == 0 ? kScenarioR : kScenarioF;
-    if (!(alive_ & bit)) continue;
-    for (int p = 0; p < n; ++p) {
-      const NetPlanes& v = touch(g.inputs[p]);
-      init_in[p] = v.s[s].init;
-      fin_in[p] = v.s[s].fin;
-    }
-    const NinePlanes implied{
-        tt.eval3_packed({init_in.data(), static_cast<std::size_t>(n)}),
-        tt.eval3_packed({fin_in.data(), static_cast<std::size_t>(n)})};
-    NinePlanes& cur = touch(g.output).s[s];
-    const NinePlanes next = cur.meet(implied);
-    if (next != cur) {
-      cur = next;
-      conflict_[s] |= cur.conflicts() & active_;
-      narrowed = true;
-    }
-  }
-  if (narrowed) queue_fanout(g.output);
-}
-
-void PackedImplicationEngine::sweep() {
-  // One ascending pass over the level buckets computes the fixpoint: a
-  // bucket's instances can only be (re-)narrowed by goal asserts (already
-  // done) and by instances at strictly lower levels, both of which precede
-  // it in this order.
-  for (std::size_t lvl = 0; lvl < level_buckets_.size(); ++lvl) {
-    if (bucket_stamp_[lvl] != epoch_) continue;
-    // The bucket may grow while lower levels run, never while its own
-    // level is processed (every fanout sits at a strictly higher level).
-    for (const netlist::InstId ii : level_buckets_[lvl]) {
-      eval_and_refine(ii);
-      if (all_lanes_done()) {
-        record_sweep_event();
-        return;
-      }
-    }
-  }
-  record_sweep_event();
-}
-
-void PackedImplicationEngine::record_sweep_event() const {
-  if (rec_ == nullptr) return;
-  // A lane is fully refuted when every live scenario conflicted.
-  std::uint64_t refuted = active_;
-  if (alive_ & kScenarioR) refuted &= conflict_[0];
-  if (alive_ & kScenarioF) refuted &= conflict_[1];
-  rec_->record(util::FlightEventKind::kPackedSweep, 0,
-               static_cast<std::uint32_t>(std::popcount(active_)),
-               static_cast<std::uint32_t>(std::popcount(refuted)));
 }
 
 }  // namespace sasta::sta

@@ -16,11 +16,9 @@
 // means no primary-input assignment satisfies the conjunction.
 #pragma once
 
-#include <cstdint>
 #include <span>
 
 #include "sta/assignment.h"
-#include "util/flight_recorder.h"
 
 namespace sasta::sta {
 
@@ -73,95 +71,6 @@ class ImplicationEngine {
   const netlist::Netlist& nl_;
   AssignmentState& state_;
   std::vector<netlist::InstId> worklist_;
-};
-
-/// Word-packed forward implication: refutes up to 64 candidate steady-goal
-/// conjunctions ("lanes") with ONE levelized sweep over the cone, instead
-/// of one scalar closure each (PPSFP-style bit parallelism, see
-/// logicsys::NinePlanes for the plane encoding).
-///
-/// Each lane starts from the SAME borrowed scalar AssignmentState — the
-/// caller's current DFS prefix — then meets its own goal conjunction on
-/// top.  Planes are materialized lazily per net and per sweep, so a sweep
-/// touches only the cone the goals actually reach.  Because the gate
-/// transfer function (TruthTable::eval3_packed) is exact per lane and all
-/// four transfer slots are monotone, the joint topological pass computes
-/// the same least fixpoint the scalar engine reaches by chaotic iteration:
-/// a lane conflicts here in a scenario iff assign_steady_goals would have
-/// conflicted that scenario for the lane's goals (see
-/// tests/sta_packed_trial_test.cpp for the differential battery).
-///
-/// This is a REFUTER only, exactly like assign_steady_goals: a conflicted
-/// lane is exhaustively refuted (implication derives only consequences of
-/// the goals); a surviving lane merely wasn't refuted by closure and is
-/// demuxed back into the scalar implication/justification pipeline.
-class PackedImplicationEngine {
- public:
-  static constexpr int kMaxLanes = 64;
-
-  /// `state` is borrowed: each sweep re-reads the CURRENT scalar values as
-  /// the lanes' shared base, so one engine serves every node of a DFS.
-  PackedImplicationEngine(const netlist::Netlist& nl,
-                          const AssignmentState& state);
-
-  /// Starts a new sweep: lanes in `active_lanes` carry candidates, and
-  /// only scenarios of `alive` are propagated / conflict-checked (dead
-  /// scenarios may hold stale post-conflict values in the base state).
-  /// Invalidates all planes of the previous sweep in O(1) (epoch bump).
-  void begin_sweep(std::uint64_t active_lanes, unsigned alive);
-
-  /// Meets the steady goal into lane `lane`'s planes (both scenarios — a
-  /// steady side value is polarity-independent, as in refine_steady) and
-  /// queues the net's fanout for the sweep.
-  void assert_goal(int lane, const Goal& goal);
-
-  /// Propagates all asserted goals to the joint fixpoint in one ascending
-  /// pass over the level buckets.  Early-exits once every active lane has
-  /// conflicted in every live scenario.
-  void sweep();
-
-  /// Scenarios (within the sweep's `alive`) in which this lane's
-  /// conjunction was refuted.  Valid until the next begin_sweep.
-  unsigned refuted(int lane) const {
-    unsigned r = kScenarioNone;
-    if ((conflict_[0] >> lane) & 1u) r |= kScenarioR;
-    if ((conflict_[1] >> lane) & 1u) r |= kScenarioF;
-    return r & alive_;
-  }
-
-  /// Optional flight-recorder lane (borrowed; null = off): every sweep()
-  /// emits one kPackedSweep event (lanes swept, lanes fully refuted).
-  /// Observational only — never read back.
-  void set_recorder(util::FlightLane* rec) { rec_ = rec; }
-
- private:
-  void record_sweep_event() const;
-  /// Per-net packed value: one NinePlanes per scenario (index 0 = R).
-  struct NetPlanes {
-    logicsys::NinePlanes s[2];
-  };
-
-  /// Materializes `n`'s planes from the scalar base state if stale.
-  NetPlanes& touch(netlist::NetId n);
-  void queue_fanout(netlist::NetId n);
-  /// Packed evaluate + meet of one instance's output; queues fanout on
-  /// narrowing.
-  void eval_and_refine(netlist::InstId ii);
-  bool all_lanes_done() const;
-
-  const netlist::Netlist& nl_;
-  const AssignmentState& state_;
-  std::vector<NetPlanes> planes_;
-  std::vector<std::uint64_t> net_stamp_;
-  std::vector<std::uint64_t> inst_stamp_;  ///< queued-this-sweep guard
-  std::vector<int> inst_level_;            ///< net_level of the output
-  std::vector<std::vector<netlist::InstId>> level_buckets_;
-  std::vector<std::uint64_t> bucket_stamp_;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t active_ = 0;
-  unsigned alive_ = kScenarioNone;
-  std::uint64_t conflict_[2] = {0, 0};  ///< per-scenario conflicted lanes
-  util::FlightLane* rec_ = nullptr;
 };
 
 }  // namespace sasta::sta

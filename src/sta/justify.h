@@ -17,13 +17,7 @@
 // The optional backtrack budget makes the same engine serve as the
 // commercial-tool model: the baseline runs with a finite budget and aborts
 // ("backtrack limited") on hard cones.
-//
-// Upstream of this solver the path finder can prescreen whole batches of
-// candidate goal conjunctions with the word-packed closure
-// (PackedImplicationEngine, --trial-lanes): lanes the packed sweep refutes
-// never reach justification at all, and the surviving lanes demux back into
-// the scalar closure + this solver unchanged — packing narrows the funnel
-// in front of the justifier, it never alters what the justifier decides.
+
 #pragma once
 
 #include <span>

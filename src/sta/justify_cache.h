@@ -69,15 +69,13 @@ namespace sasta::sta {
 
 /// Where the path finder keeps its justification memo table.
 enum class JustifyCacheMode {
-  kOff,       ///< no cache: the pre-cache search, trial for trial
-  kShared,    ///< one lock-free table read/written by all workers
-  kPerWorker  ///< a private table per worker (no cross-thread sharing)
+  kOff,    ///< no cache: the pre-cache search, trial for trial
+  kShared  ///< one lock-free table read/written by all workers (default)
 };
 
 /// Refutation tiers for resolving a memo-cache miss (see pathfinder.h).
 enum class JustifyTier {
   kImplication,  ///< closure-only: CONFLICT or give up (ablation)
-  kSolver,       ///< budgeted backtracking solver only (the PR3 pipeline)
   kBoth,         ///< closure first, escalate to the solver (default)
   kAdaptive      ///< kBoth, but an EscalationController may veto the solver
                  ///< when escalations stop paying for themselves

@@ -23,8 +23,6 @@ PathFinderStats& PathFinderStats::operator+=(const PathFinderStats& other) {
   negative_hits += other.negative_hits;
   escalation_refutes += other.escalation_refutes;
   escalations_vetoed += other.escalations_vetoed;
-  packed_sweeps += other.packed_sweeps;
-  lanes_refuted += other.lanes_refuted;
   tasks_spawned += other.tasks_spawned;
   tasks_stolen += other.tasks_stolen;
   steal_failures += other.steal_failures;

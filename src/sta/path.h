@@ -89,17 +89,6 @@ struct PathFinderStats {
                                  ///< the payoff controller denied (memoized
                                  ///< kInconclusive instead of solved)
 
-  // Word-packed trial prescreening (zero when PathFinderOptions::
-  // trial_lanes is 1).  Packing is strictly result-neutral: a packed sweep
-  // only pre-computes which candidate trials the scalar closure would have
-  // discarded on assignment conflicts, so every other counter — including
-  // vector_trials and all cache counters — is bit-identical to the
-  // trial_lanes=1 run; only these two counters and wall clock change.
-  long packed_sweeps = 0;   ///< packed forward-implication sweeps executed
-  long lanes_refuted = 0;   ///< candidate trials whose every live scenario
-                            ///< a packed sweep refuted (their scalar
-                            ///< closure + rollback is skipped)
-
   // Work-stealing scheduler (zero when PathFinderOptions::schedule is
   // kSource).  Stealing redistributes who executes which frontier task but
   // never what is searched, so every result-bearing counter above is

@@ -25,18 +25,8 @@ struct PathFinder::Worker {
         engine(owner.nl_, state),
         justifier(owner.nl_, state, engine,
                   owner.opt_.use_scoap_guide ? &owner.guide_ : nullptr) {
-    if (owner.opt_.trial_lanes > 1) {
-      packed = std::make_unique<PackedImplicationEngine>(owner.nl_, state);
-    }
     if (owner.opt_.justify_cache == JustifyCacheMode::kOff) return;
-    if (owner.opt_.justify_cache == JustifyCacheMode::kPerWorker) {
-      JustifyCache::Config cfg;
-      cfg.capacity = owner.opt_.justify_cache_capacity;
-      own_cache = std::make_unique<JustifyCache>(cfg);
-      cache = own_cache.get();
-    } else {
-      cache = owner.active_shared_cache();
-    }
+    cache = owner.active_shared_cache();
     // Scratch solver for fresh-state memo solves: same netlist, guide and
     // budget as the search solver, but its own assignment state so a memo
     // solve never perturbs the DFS trail.  No excluded support bit — the
@@ -87,33 +77,16 @@ struct PathFinder::Worker {
   util::FlightLane* rec = nullptr;
   int tid = 0;
 
-  /// Justification memo cache (null = kOff): the table this worker probes
-  /// (shared or private), plus the scratch solver context for fresh-state
-  /// verdict computation and reusable goal buffers for key building.
+  /// Justification memo cache (null = kOff): the shared table this worker
+  /// probes, plus the scratch solver context for fresh-state verdict
+  /// computation and reusable goal buffers for key building.
   JustifyCache* cache = nullptr;
-  std::unique_ptr<JustifyCache> own_cache;
   std::unique_ptr<AssignmentState> memo_state;
   std::unique_ptr<ImplicationEngine> memo_engine;
   std::unique_ptr<Justifier> memo_justifier;
   std::vector<Goal> trial_goals;
   std::vector<Goal> acc_goals;
   std::vector<std::uint64_t> key_scratch;
-
-  /// Word-packed trial prescreening (null = trial_lanes is 1).  The packed
-  /// engine borrows `state`, so each sweep starts from the worker's current
-  /// DFS prefix.  packed_refuted is a stack-shaped arena of per-candidate
-  /// refuted ScenarioMasks, one frame per live extend() invocation (each
-  /// frame restores its base size on exit); the remaining vectors are
-  /// prescreen-local scratch.
-  std::unique_ptr<PackedImplicationEngine> packed;
-  std::vector<unsigned> packed_refuted;
-  struct PackedCand {
-    std::uint32_t arena;   ///< index into packed_refuted
-    std::uint32_t gbegin;  ///< goal range in packed_goals
-    std::uint32_t gend;
-  };
-  std::vector<Goal> packed_goals;
-  std::vector<PackedCand> packed_cands;
 
   /// Search-cost attribution scratch (empty unless the run requested
   /// attribution): per-instance tallies of trials, prunes and solver
@@ -133,13 +106,33 @@ struct PathFinder::Worker {
 /// smallest — infeasible prefix is the one that prunes anyway.
 constexpr std::size_t kMaxCachedGoalSet = 64;
 
+namespace {
+
+/// Publishes a freshly computed verdict and counts the insert's outcome.
+void publish_verdict(JustifyCache& cache, const GoalSetKey& key,
+                     JustifyVerdict v, PathFinderStats& stats) {
+  switch (cache.insert(key, v)) {
+    case JustifyCache::InsertOutcome::kInserted:
+      ++stats.cache_inserts;
+      break;
+    case JustifyCache::InsertOutcome::kRaced:
+      ++stats.cache_insert_races;
+      break;
+    case JustifyCache::InsertOutcome::kFull:
+      ++stats.cache_full_drops;
+      break;
+  }
+}
+
+}  // namespace
+
 PathFinder::PathFinder(const netlist::Netlist& nl,
                        const charlib::CharLibrary& charlib,
                        const PathFinderOptions& options)
     : nl_(nl), charlib_(charlib), opt_(options) {
   util::TraceSpan span(opt_.trace, "pathfinder/prepare", 0);
-  opt_.trial_lanes = std::clamp(opt_.trial_lanes, 1,
-                                PackedImplicationEngine::kMaxLanes);
+  SASTA_CHECK(opt_.trial_lanes == 1)
+      << " trial_lanes " << opt_.trial_lanes << " (only 1 is supported)";
   guide_ = netlist::compute_controllability(nl);
   reach_ = netlist::reaches_output(nl);
   if (opt_.justify_cache == JustifyCacheMode::kShared &&
@@ -238,7 +231,6 @@ void PathFinder::attach_recorder(Worker& w) {
   // solver both report into this worker's lane.
   w.justifier.set_recorder(w.rec);
   if (w.memo_justifier != nullptr) w.memo_justifier->set_recorder(w.rec);
-  if (w.packed != nullptr) w.packed->set_recorder(w.rec);
 }
 
 bool PathFinder::deadline_hit(Worker& w) {
@@ -352,17 +344,15 @@ JustifyVerdict PathFinder::refute_component(Worker& w,
   // derives only consequences), so most infeasible conjunctions never
   // reach the solver at all.
   w.memo_state->reset();
-  if (opt_.justify_tier != JustifyTier::kSolver) {
-    if (w.memo_engine->assign_steady_goals(goals, kScenarioBoth) ==
-        kScenarioNone) {
-      ++w.stats.implication_refutes;
-      return JustifyVerdict::kConflict;
-    }
-    if (opt_.justify_tier == JustifyTier::kImplication) {
-      // Closure-only ablation: negatively memoize "could not refute" so
-      // repeat misses on this conjunction skip even the closure pass.
-      return JustifyVerdict::kInconclusive;
-    }
+  if (w.memo_engine->assign_steady_goals(goals, kScenarioBoth) ==
+      kScenarioNone) {
+    ++w.stats.implication_refutes;
+    return JustifyVerdict::kConflict;
+  }
+  if (opt_.justify_tier == JustifyTier::kImplication) {
+    // Closure-only tier: negatively memoize "could not refute" so repeat
+    // misses on this conjunction skip even the closure pass.
+    return JustifyVerdict::kInconclusive;
   }
 
   // Adaptive gate: consult the payoff controller before paying for the
@@ -444,17 +434,7 @@ JustifyVerdict PathFinder::component_verdict(Worker& w,
   was_hit = false;
   ++w.stats.cache_misses;
   v = refute_component(w, goals);
-  switch (w.cache->insert(key, v)) {
-    case JustifyCache::InsertOutcome::kInserted:
-      ++w.stats.cache_inserts;
-      break;
-    case JustifyCache::InsertOutcome::kRaced:
-      ++w.stats.cache_insert_races;
-      break;
-    case JustifyCache::InsertOutcome::kFull:
-      ++w.stats.cache_full_drops;
-      break;
-  }
+  publish_verdict(*w.cache, key, v, w.stats);
   return v;
 }
 
@@ -480,17 +460,7 @@ JustifyVerdict PathFinder::cached_verdict(Worker& w, const GoalSetKey& key,
   if (goals.size() < 2) {
     // A single goal is its own component: skip the partition allocation.
     v = refute_component(w, goals);
-    switch (w.cache->insert(key, v)) {
-      case JustifyCache::InsertOutcome::kInserted:
-        ++w.stats.cache_inserts;
-        break;
-      case JustifyCache::InsertOutcome::kRaced:
-        ++w.stats.cache_insert_races;
-        break;
-      case JustifyCache::InsertOutcome::kFull:
-        ++w.stats.cache_full_drops;
-        break;
-    }
+    publish_verdict(*w.cache, key, v, w.stats);
     return v;
   }
 
@@ -528,17 +498,7 @@ JustifyVerdict PathFinder::cached_verdict(Worker& w, const GoalSetKey& key,
       }
     }
   }
-  switch (w.cache->insert(key, v)) {
-    case JustifyCache::InsertOutcome::kInserted:
-      ++w.stats.cache_inserts;
-      break;
-    case JustifyCache::InsertOutcome::kRaced:
-      ++w.stats.cache_insert_races;
-      break;
-    case JustifyCache::InsertOutcome::kFull:
-      ++w.stats.cache_full_drops;
-      break;
-  }
+  publish_verdict(*w.cache, key, v, w.stats);
   return v;
 }
 
@@ -584,69 +544,6 @@ bool PathFinder::trial_cached_infeasible(
   return cached_verdict(w, acc_key, w.acc_goals) == JustifyVerdict::kConflict;
 }
 
-std::size_t PathFinder::packed_prescreen(Worker& w, netlist::NetId net,
-                                         unsigned alive,
-                                         std::size_t cand_begin,
-                                         std::size_t cand_end) {
-  const std::size_t base = w.packed_refuted.size();
-  // Enumerate this frame's candidates in EXACT trial order — the same
-  // (reachable fanout) x (vector) nesting extend_over() walks — so arena
-  // slot k always describes the k-th candidate the loop will execute.
-  // Candidates outside [cand_begin, cand_end) belong to other frontier
-  // tasks and occupy no slot, mirroring the loop's range skip; candidates
-  // with no side goals (single-input gates) never conflict on assignment
-  // and get an empty refuted mask without occupying a lane.
-  w.packed_goals.clear();
-  w.packed_cands.clear();
-  std::size_t ci = 0;
-  for (const netlist::Fanout& f : nl_.net(net).fanouts) {
-    const netlist::Instance& inst = nl_.instance(f.inst);
-    if (!reach_[inst.output]) continue;
-    const charlib::CellTiming& timing = charlib_.timing(inst.cell->name());
-    const auto& vectors = timing.vectors.at(f.pin);
-    for (const charlib::SensitizationVector& vec : vectors) {
-      const std::size_t cand_index = ci++;
-      if (cand_index < cand_begin || cand_index >= cand_end) continue;
-      const auto gbegin = static_cast<std::uint32_t>(w.packed_goals.size());
-      for (int q = 0; q < inst.cell->num_inputs(); ++q) {
-        if (q == f.pin) continue;
-        w.packed_goals.push_back({inst.inputs[q], vec.side_value(q)});
-      }
-      const auto arena = static_cast<std::uint32_t>(w.packed_refuted.size());
-      w.packed_refuted.push_back(kScenarioNone);
-      if (w.packed_goals.size() > gbegin) {
-        w.packed_cands.push_back(
-            {arena, gbegin, static_cast<std::uint32_t>(w.packed_goals.size())});
-      }
-    }
-  }
-
-  // Evaluate the packed candidates, trial_lanes per sweep.
-  const int lanes = opt_.trial_lanes;
-  for (std::size_t c0 = 0; c0 < w.packed_cands.size(); c0 += lanes) {
-    const int batch = static_cast<int>(
-        std::min<std::size_t>(lanes, w.packed_cands.size() - c0));
-    const std::uint64_t active =
-        batch >= 64 ? ~std::uint64_t{0}
-                    : (std::uint64_t{1} << batch) - 1;
-    w.packed->begin_sweep(active, alive);
-    for (int l = 0; l < batch; ++l) {
-      const Worker::PackedCand& cand = w.packed_cands[c0 + l];
-      for (std::uint32_t g = cand.gbegin; g < cand.gend; ++g) {
-        w.packed->assert_goal(l, w.packed_goals[g]);
-      }
-    }
-    w.packed->sweep();
-    ++w.stats.packed_sweeps;
-    for (int l = 0; l < batch; ++l) {
-      const unsigned refuted = w.packed->refuted(l);
-      w.packed_refuted[w.packed_cands[c0 + l].arena] = refuted;
-      if ((alive & ~refuted) == kScenarioNone) ++w.stats.lanes_refuted;
-    }
-  }
-  return base;
-}
-
 void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
   if (stop_.load(std::memory_order_relaxed)) return;
   if (w.stats.vector_trials % 64 == 0) {
@@ -663,17 +560,6 @@ void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
 
 void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
                              std::size_t cand_begin, std::size_t cand_end) {
-  // Packed prescreening: one batched closure sweep per trial_lanes
-  // candidates, BEFORE the scalar loop, so the loop below can skip
-  // candidates whose every live scenario is already refuted.  The scalar
-  // loop's ordering and counters are untouched — in particular the memo
-  // gate still runs first and vector_trials still counts the trial — so a
-  // skip changes wall clock only.
-  const std::size_t cand_base =
-      w.packed != nullptr
-          ? packed_prescreen(w, net, alive, cand_begin, cand_end)
-          : 0;
-  std::size_t cand = cand_base;
   std::size_t ci = 0;
   bool past_end = false;
 
@@ -691,8 +577,6 @@ void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
       }
       if (cand_index < cand_begin) continue;
       if (stop_.load(std::memory_order_relaxed)) return;
-      const unsigned packed_refuted =
-          w.packed != nullptr ? w.packed_refuted[cand++] : kScenarioNone;
       // Memo-cache gate (before the trial is counted, so vector_trials
       // reflects trials actually attempted): a fresh-state CONFLICT on the
       // side-value conjunction means no source, prefix or direction can
@@ -724,12 +608,6 @@ void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
                       static_cast<std::uint32_t>(w.steps.size()));
       }
       if (opt_.test_trial_hook) opt_.test_trial_hook(f.inst);
-      // Packed skip: the sweep proved every live scenario conflicts on
-      // this candidate's assignment, i.e. the scalar closure below would
-      // end with `ok == false` having touched nothing observable.  Skip
-      // it AFTER counting the trial so the counter stream is bit-identical
-      // to trial_lanes=1.
-      if ((alive & ~packed_refuted) == kScenarioNone) continue;
       const AssignmentState::Mark mark = w.state.mark();
       const std::size_t saved_goals = w.goal_stack.size();
 
@@ -844,10 +722,6 @@ void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
     }
     if (past_end) break;
   }
-  // Pop this frame's prescreen arena.  Early `stop_` returns skip this —
-  // the whole search is unwinding then, and begin_source_state clears the
-  // arena before the next source or task.
-  if (w.packed != nullptr) w.packed_refuted.resize(cand_base);
 }
 
 void PathFinder::prepare_observability(
@@ -1008,7 +882,6 @@ void PathFinder::begin_source_state(Worker& w, netlist::NetId source) {
   w.state.reset();
   w.goal_stack.clear();
   w.steps.clear();
-  w.packed_refuted.clear();
   w.justifier.reset_backtracks();
   w.justifier.set_supports(&supports_, pi_bit_[source]);
   w.current_source = source;
@@ -1505,18 +1378,9 @@ PathFinderStats PathFinder::run(
         opt_.metrics->counter("pathfinder.sources_total");
     const util::CounterId workers =
         opt_.metrics->counter("pathfinder.workers");
-    // Packed-prescreen counters exist exactly when the knob is on, like the
-    // cache block below: the key set stays a pure function of the options.
-    const bool packed_on = opt_.trial_lanes > 1;
-    util::CounterId packed_sweeps_id{};
-    util::CounterId lanes_refuted_id{};
-    if (packed_on) {
-      packed_sweeps_id = opt_.metrics->counter("pathfinder.packed_sweeps");
-      lanes_refuted_id = opt_.metrics->counter("pathfinder.lanes_refuted");
-    }
     // Steal-scheduler counters exist exactly when the knob selects kSteal
-    // (zero at 1 worker, where the sequential path runs) — same key-set
-    // discipline as the packed and cache blocks.
+    // (zero at 1 worker, where the sequential path runs), like the cache
+    // block below: the key set stays a pure function of the options.
     const bool steal_on = opt_.schedule == ScheduleMode::kSteal;
     util::CounterId tasks_spawned_id{};
     util::CounterId tasks_stolen_id{};
@@ -1575,10 +1439,6 @@ PathFinderStats PathFinder::run(
     shard.add(run_seconds, total.cpu_seconds);
     shard.add(sources_total, static_cast<long>(sources.size()));
     shard.add(workers, static_cast<long>(n_workers));
-    if (packed_on) {
-      shard.add(packed_sweeps_id, total.packed_sweeps);
-      shard.add(lanes_refuted_id, total.lanes_refuted);
-    }
     if (steal_on) {
       shard.add(tasks_spawned_id, total.tasks_spawned);
       shard.add(tasks_stolen_id, total.tasks_stolen);

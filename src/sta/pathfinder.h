@@ -75,8 +75,7 @@ struct SearchAttribution {
   std::vector<SourceCost> sources;  ///< ordered by source-PI search order
   std::vector<GateCost> gates;      ///< ordered by instance id
   /// Per-shard resident entries of the shared memo table at run end
-  /// (kShared mode only; empty otherwise — per-worker tables die with
-  /// their workers).
+  /// (kShared mode only; empty otherwise).
   std::vector<std::size_t> cache_shards;
   /// Adaptive-tier controller state (valid iff controller_active).
   bool controller_active = false;
@@ -151,27 +150,22 @@ struct PathFinderOptions {
   /// canonical merge restores sequential delivery order.  Unlike kSource,
   /// kSteal does not cap the worker count at the source count — that is
   /// precisely the starvation it exists to fix.  The n_worst floor, memo
-  /// cache, packed lanes and escalation controller all compose with
-  /// stealing unchanged (they are already cross-worker shared state).
-  /// stats.packed_sweeps is the one cost counter that legitimately differs
-  /// from kSource when trial_lanes > 1: per-task prescreen batches split at
-  /// chunk boundaries (sweep *results* per candidate are identical either
-  /// way, so vector_trials / lanes_refuted / every cache counter are not
-  /// affected).
+  /// cache and escalation controller all compose with stealing unchanged
+  /// (they are already cross-worker shared state).
   ScheduleMode schedule = ScheduleMode::kSource;
 
   /// Justification memo cache (see justify_cache.h).  Caching is strictly
   /// result-neutral: only exhaustive fresh-state CONFLICT verdicts prune,
   /// and those trials could never have recorded a path, so the enumerated
-  /// path set is bit-identical across kOff / kShared / kPerWorker at every
-  /// thread count.  Verdicts are pure functions of (netlist, goal set,
-  /// budget), so vector_trials is also identical between kShared and
-  /// kPerWorker and deterministic at any thread count — only less than or
-  /// equal to the kOff count (pruned trials are not counted as attempted).
-  JustifyCacheMode justify_cache = JustifyCacheMode::kOff;
-  /// Total slots of the memo table (16 bytes each; per worker in
-  /// kPerWorker mode).  Overflow degrades gracefully: verdicts that do not
-  /// fit are recomputed on demand, never invented.
+  /// path set is bit-identical between kOff and kShared at every thread
+  /// count.  Verdicts are pure functions of (netlist, goal set, budget),
+  /// so vector_trials is deterministic at any thread count — only less
+  /// than or equal to the kOff count (pruned trials are not counted as
+  /// attempted).  kOff is the uncached reference search.
+  JustifyCacheMode justify_cache = JustifyCacheMode::kShared;
+  /// Total slots of the memo table (16 bytes each).  Overflow degrades
+  /// gracefully: verdicts that do not fit are recomputed on demand, never
+  /// invented.
   std::size_t justify_cache_capacity = std::size_t{1} << 16;
   /// kShared only: borrow a caller-owned memo table instead of building a
   /// fresh one per PathFinder.  This is how the serve-mode session keeps
@@ -189,10 +183,9 @@ struct PathFinderOptions {
   /// runs the zero-backtracking implication-closure refuter first and
   /// escalates to the budgeted solver only when closure is inconclusive;
   /// kImplication stops after closure (cheapest misses, fewest CONFLICT
-  /// verdicts); kSolver skips closure (the pre-tier pipeline).  Purely a
-  /// work/benefit ablation knob: every tier's CONFLICT is a sound
-  /// exhaustive refutation, so enumerated paths are bit-identical across
-  /// tiers — and because verdicts stay pure functions of the goal set,
+  /// verdicts).  Purely a work/benefit knob: every tier's CONFLICT is a
+  /// sound exhaustive refutation, so enumerated paths are bit-identical
+  /// across tiers — and because verdicts stay pure functions of the goal set,
   /// vector_trials is deterministic per tier at every thread count.
   /// kAdaptive runs the kBoth pipeline behind an online payoff controller
   /// (see EscalationController) that vetoes solver escalations when
@@ -207,22 +200,8 @@ struct PathFinderOptions {
   /// degenerates to kBoth); higher values cut the solver off earlier on
   /// circuits where escalations rarely refute.
   double escalation_payoff = 0.1;
-  /// Word-packed candidate prescreening (PPSFP-style bit parallelism).
-  /// 1 = scalar (the reference pipeline).  A value N in 2..64 packs up to
-  /// N candidate sensitization vectors of each extension frame into one
-  /// levelized forward-implication sweep (see PackedImplicationEngine):
-  /// candidates whose side-value conjunction the sweep refutes in every
-  /// live scenario skip their scalar closure + rollback entirely, and the
-  /// survivors demux back into the unchanged scalar implication/solver
-  /// pipeline.  Strictly result-neutral BY CONSTRUCTION, not just by test:
-  /// the packed sweep computes the same closure verdict the scalar engine
-  /// would (same exact gate transfer function, same least fixpoint), a
-  /// refuted candidate could never have extended the path or touched any
-  /// observable state, and lane order is fixed by trial order — so paths,
-  /// order, and every existing counter (vector_trials, cache, backtracks)
-  /// are bit-identical to trial_lanes=1 at every thread count and cache
-  /// mode.  Only stats.packed_sweeps / stats.lanes_refuted and wall clock
-  /// change.  The CLI restricts the knob to {1, 16, 32}.
+  /// Unused; must stay 1.  Kept only because perfbench/probe.cpp assigns
+  /// it, and goes away with that line.
   int trial_lanes = 1;
   /// Backtrack budget for the cache's fresh-state solves, deliberately far
   /// below justify_backtrack_budget: a CONFLICT proven under any budget is
@@ -360,15 +339,6 @@ class PathFinder {
   /// sequence itself.
   void extend_over(Worker& w, netlist::NetId net, unsigned alive,
                    std::size_t cand_begin, std::size_t cand_end);
-  /// trial_lanes > 1: packs this extension frame's candidate vectors into
-  /// word-wide sweeps on the worker's packed engine and records one refuted
-  /// ScenarioMask per candidate, in exact trial order, in
-  /// Worker::packed_refuted.  Only candidates inside [cand_begin, cand_end)
-  /// occupy arena slots, mirroring extend_over's range restriction.
-  /// Returns the frame's arena base (the caller restores the arena size on
-  /// exit, stack-style, like goal_stack).
-  std::size_t packed_prescreen(Worker& w, netlist::NetId net, unsigned alive,
-                               std::size_t cand_begin, std::size_t cand_end);
   void record(Worker& w, netlist::NetId sink_net, unsigned alive);
   /// Memo-cache gate for one (instance, entered pin, vector) trial: true
   /// iff the trial's side-value conjunction — alone or joined with the
@@ -421,10 +391,10 @@ class PathFinder {
   std::vector<std::vector<std::uint64_t>> supports_;
   std::vector<int> pi_bit_;
   std::vector<bool> reach_;
-  /// The cross-worker memo table (kShared mode only; workers own their
-  /// tables in kPerWorker mode).  Lives for the PathFinder's lifetime —
-  /// verdicts stay valid across run() calls of the same instance.  Not
-  /// built when the caller lends options.external_cache.
+  /// The cross-worker memo table (kShared mode only).  Lives for the
+  /// PathFinder's lifetime — verdicts stay valid across run() calls of the
+  /// same instance.  Not built when the caller lends
+  /// options.external_cache.
   std::unique_ptr<JustifyCache> shared_cache_;
   /// The shared table in effect: the borrowed external one if set, else
   /// the finder-owned one; null outside kShared mode.
@@ -472,8 +442,8 @@ class PathFinder {
   std::unique_ptr<std::atomic<std::uint64_t>[]> hb_lane_trials_;
   unsigned hb_lanes_ = 0;
   std::atomic<long> hb_prev_ms_{0};
-  /// Attaches the flight-recorder lane matching w.tid (plus the justifier /
-  /// packed-engine hooks).  Called once per worker, after tid is set.
+  /// Attaches the flight-recorder lane matching w.tid (plus the justifier
+  /// hooks).  Called once per worker, after tid is set.
   void attach_recorder(Worker& w);
 
   // N-worst pruning state.  remaining_ub_ is read-only during run();

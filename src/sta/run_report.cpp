@@ -18,8 +18,6 @@ const char* tier_name(JustifyTier t) {
   switch (t) {
     case JustifyTier::kImplication:
       return "implication";
-    case JustifyTier::kSolver:
-      return "solver";
     case JustifyTier::kBoth:
       return "both";
     case JustifyTier::kAdaptive:
@@ -44,8 +42,6 @@ const char* mode_name(JustifyCacheMode m) {
       return "off";
     case JustifyCacheMode::kShared:
       return "shared";
-    case JustifyCacheMode::kPerWorker:
-      return "per-worker";
   }
   return "?";
 }
@@ -145,8 +141,7 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
        << ",\n    " << jkey("cache_budget") << ": " << o.justify_cache_budget
        << ",\n    " << jkey("backtrack_budget") << ": "
        << o.justify_backtrack_budget << ",\n    " << jkey("escalation_payoff")
-       << ": " << num(o.escalation_payoff) << ",\n    " << jkey("trial_lanes")
-       << ": " << o.trial_lanes << "\n  ";
+       << ": " << num(o.escalation_payoff) << "\n  ";
   }
   os << "},\n";
 
@@ -160,8 +155,6 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
        << ",\n    " << jkey("vector_trials") << ": " << s.vector_trials
        << ",\n    " << jkey("backtracks") << ": " << s.backtracks << ",\n    "
        << jkey("justify_limited") << ": " << s.justify_limited << ",\n    "
-       << jkey("packed_sweeps") << ": " << s.packed_sweeps << ",\n    "
-       << jkey("lanes_refuted") << ": " << s.lanes_refuted << ",\n    "
        << jkey("tasks_spawned") << ": " << s.tasks_spawned << ",\n    "
        << jkey("tasks_stolen") << ": " << s.tasks_stolen << ",\n    "
        << jkey("steal_failures") << ": " << s.steal_failures << ",\n    "
@@ -414,12 +407,9 @@ std::vector<std::string> selfcheck_run(const RunReportInputs& in) {
     eq("tasks_stolen (source schedule)", s.tasks_stolen, 0);
     eq("steal_failures (source schedule)", s.steal_failures, 0);
   }
-  if (in.options != nullptr) {
-    le("lanes_refuted <= packed_sweeps * trial_lanes", s.lanes_refuted,
-       s.packed_sweeps * std::max(1, in.options->trial_lanes));
-    if (in.options->justify_tier != JustifyTier::kAdaptive) {
-      eq("escalations_vetoed (non-adaptive tier)", s.escalations_vetoed, 0);
-    }
+  if (in.options != nullptr &&
+      in.options->justify_tier != JustifyTier::kAdaptive) {
+    eq("escalations_vetoed (non-adaptive tier)", s.escalations_vetoed, 0);
   }
 
   // Attribution rows vs aggregates: every cost unit is charged to exactly

@@ -50,7 +50,7 @@ void write_run_report(const RunReportInputs& in, std::ostream& os);
 /// Counter-reconciliation pass (--selfcheck): cross-checks every redundant
 /// view of the run — attribution rows vs aggregate stats, per-source
 /// metrics vs stats, recorder activity slots vs stats, and the internal
-/// stats invariants (cache miss bookkeeping, packed-lane bounds, tier
+/// stats invariants (cache miss bookkeeping, scheduler and tier
 /// arithmetic).  Returns one human-readable "name: got X want Y" line per
 /// violation; an empty vector means every available view reconciles.
 /// Sections whose inputs are null are skipped, never failed.

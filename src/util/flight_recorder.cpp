@@ -37,7 +37,6 @@ const char* flight_event_kind_name(std::uint8_t kind) {
     case FlightEventKind::kCachePrune: return "cache_prune";
     case FlightEventKind::kEscalation: return "escalation";
     case FlightEventKind::kEscalationVeto: return "escalation_veto";
-    case FlightEventKind::kPackedSweep: return "packed_sweep";
     case FlightEventKind::kBacktrackBurst: return "backtrack_burst";
     case FlightEventKind::kPathRecorded: return "path_recorded";
     case FlightEventKind::kTaskSpawn: return "task_spawn";
@@ -394,7 +393,7 @@ void StallWatchdog::loop() {
 // ---------------------------------------------------------------------------
 // Signal plumbing.
 //
-// Handler rules (reviewed against ARCHITECTURE §13): handlers touch only
+// Handler rules (reviewed against ARCHITECTURE §12): handlers touch only
 // lock-free atomics, the pre-opened dump fd, and FlightRecorder::dump()
 // (async-signal-safe by construction, above).  Crash handlers restore the
 // default action and re-raise so exit status / core behavior is unchanged.

@@ -51,7 +51,7 @@ enum class FlightEventKind : std::uint8_t {
   kCachePrune = 5,   // arg = pin, a = gate inst id, b = vector id
   kEscalation = 6,   // arg = verdict, a = gate inst id, b = backtracks
   kEscalationVeto = 7,  // a = gate inst id
-  kPackedSweep = 8,  // a = lanes swept, b = lanes refuted
+  // 8 is retired (a word-packed trial sweep); never reuse it.
   kBacktrackBurst = 9,  // a = backtracks used, b = alive mask
   kPathRecorded = 10,  // arg = launch bit, a = steps, b = sink net id
   kTaskSpawn = 11,     // arg = task count, a = source net id, b = candidates

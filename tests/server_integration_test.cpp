@@ -370,6 +370,59 @@ TEST(ServerIntegration, EcoIncrementalEqualsForceColdOverTheSocket) {
             cold.get("report").as_string());
 }
 
+// A design with dead logic off the live cone: PI d feeds only w, which
+// drives no output, so d is not a search source.  Resizing any gate must
+// answer (not E_INTERNAL) and match a cold recompute.
+TEST(ServerIntegration, EcoNextToDeadLogicMatchesForceCold) {
+  ServerFixture fx(test_options(socket_path("dead")));
+  ASSERT_TRUE(fx.server().listening());
+  LineClient client(socket_path("dead"));
+  ASSERT_TRUE(client.connected());
+
+  JsonValue resp = client.call("load", [] {
+    JsonValue p = JsonValue::object();
+    p.set("netlist", JsonValue::string("deadlogic"));
+    p.set("bench_text",
+          JsonValue::string("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\n"
+                            "OUTPUT(y)\ny = NAND(a, z)\nz = AND(b, c)\n"
+                            "w = NAND(z, d)\n"));
+    return p;
+  }());
+  ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+  EXPECT_EQ(resp.get("result").get("sources").as_long(), 3);
+
+  auto params = [] {
+    JsonValue p = JsonValue::object();
+    p.set("paths", JsonValue::number(6L));
+    p.set("required_ns", JsonValue::number(1.0));
+    return p;
+  };
+  resp = client.call("analyze", params());
+  ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+
+  for (const char* inst : {"g0", "g1", "g2"}) {
+    JsonValue eco = params();
+    eco.set("op", JsonValue::string("resize_cell"));
+    eco.set("instance", JsonValue::string(inst));
+    eco.set("scale", JsonValue::number(2.0));
+    resp = client.call("eco", eco);
+    ASSERT_TRUE(resp.find("result") != nullptr) << inst << " " << resp.dump();
+    const JsonValue incremental = resp.get("result");
+    EXPECT_LE(incremental.get("eco").get("dirty_sources").as_long(), 3);
+
+    JsonValue cold_params = params();
+    cold_params.set("force_cold", JsonValue::boolean(true));
+    resp = client.call("analyze", cold_params);
+    ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+    const JsonValue cold = resp.get("result");
+    EXPECT_EQ(response_path_keys(incremental), response_path_keys(cold))
+        << inst;
+    EXPECT_EQ(incremental.get("report").as_string(),
+              cold.get("report").as_string())
+        << inst;
+  }
+}
+
 TEST(ServerIntegration, RunReportEmbedsAsSingleLineJson) {
   ServerFixture fx(test_options(socket_path("report")));
   ASSERT_TRUE(fx.server().listening());

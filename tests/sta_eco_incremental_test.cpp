@@ -299,6 +299,31 @@ TEST(EcoImpact, DisjointComponentsHaveDisjointImpactAndSupport) {
       << "components share no nets, so the folded masks must be disjoint";
 }
 
+// Dead logic off an edited cone: w drives no primary output, so PI d
+// reaches none and is not a search source.  It must never be reported
+// dirty, whichever gate the edit touches.
+constexpr char kDeadLogicBench[] = R"(
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+OUTPUT(y)
+y = NAND(a, z)
+z = AND(b, c)
+w = NAND(z, d)
+)";
+
+TEST(EcoImpact, PiDrivingOnlyDeadLogicIsNeverDirty) {
+  const netlist::Netlist nl = mapped_bench(kDeadLogicBench, "deadlogic");
+  // A = {driver of w, driver of z}: TFO(A) = {w, z, y}, whose PI support
+  // is {a, b, c, d} — minus d, which is no source.
+  const netlist::InstId touched[] = {inst_by_name(nl, driver_name(nl, "w"))};
+  const sta::EcoImpact impact = sta::compute_eco_impact(nl, touched);
+  EXPECT_EQ(dirty_names(nl, impact),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_FALSE(impact.dirty[net_by_name(nl, "d")]);
+}
+
 // --- Incremental == cold: the differential battery -------------------------
 
 Session::AnalyzeRequest analyze_request() {
@@ -385,6 +410,46 @@ TEST(EcoDifferential, ResizeCellRetimesWithoutResearch) {
         outcome_fingerprints(session->netlist(), out.analyze);
 
     EXPECT_EQ(incremental, cold_fingerprints(*session)) << "seed " << seed;
+  }
+}
+
+// Every gate of a design with dead logic hanging off the live cone: a
+// resize and a function-changing swap each re-analyze incrementally and
+// match a cold recompute bit for bit.
+TEST(EcoDifferential, DeadLogicEcosMatchColdRecompute) {
+  auto session = make_session(mapped_bench(kDeadLogicBench, "deadlogic"));
+  ASSERT_FALSE(session->analyze(analyze_request()).truncated);
+  const netlist::Netlist& nl = session->netlist();
+  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+    Session::EcoRequest resize;
+    resize.op = "resize_cell";
+    resize.instance = nl.instance(i).name;
+    resize.scale = 2.0;
+    resize.analyze = analyze_request();
+    const Session::EcoOutcome resized = session->apply_eco(resize);
+    EXPECT_EQ(outcome_fingerprints(nl, resized.analyze),
+              cold_fingerprints(*session))
+        << "resize " << resize.instance;
+
+    const int fan = static_cast<int>(nl.instance(i).inputs.size());
+    for (const char* cell : {"NOR2", "NAND2", "AND2", "INV", "BUF"}) {
+      const cell::Cell* c = testing::test_library().find(cell);
+      if (c == nullptr || c->num_inputs() != fan ||
+          c->function() == nl.instance(i).cell->function()) {
+        continue;
+      }
+      Session::EcoRequest swap;
+      swap.op = "swap_gate";
+      swap.instance = nl.instance(i).name;
+      swap.cell = cell;
+      swap.analyze = analyze_request();
+      const Session::EcoOutcome swapped = session->apply_eco(swap);
+      EXPECT_TRUE(swapped.function_changed);
+      EXPECT_EQ(outcome_fingerprints(nl, swapped.analyze),
+                cold_fingerprints(*session))
+          << "swap " << swap.instance << " -> " << cell;
+      break;
+    }
   }
 }
 

@@ -2,8 +2,7 @@
 //
 // The cache's contract is strict result-neutrality — the enumerated path
 // set, its order, every delay bit, and the rendered timing report must be
-// identical across --justify-cache off / shared / per-worker at every
-// thread count — plus a monotone work guarantee (cached runs attempt at
+// identical with --justify-cache off and shared at every thread count — plus a monotone work guarantee (cached runs attempt at
 // most as many vector trials as uncached ones).  The battery locks both
 // down on randomized ISCAS-style netlists, then unit-tests the lock-free
 // table itself (CAS insert races, capacity overflow, epoch invalidation)
@@ -82,8 +81,7 @@ EnumRun enumerate(const netlist::Netlist& nl, JustifyCacheMode mode,
 // every (cache mode, thread count) combination enumerates byte-identical
 // paths in identical order; cached runs never attempt more vector trials
 // than the uncached reference; and because verdicts are pure functions of
-// the goal set, the trial count is identical across kShared / kPerWorker
-// and across thread counts.
+// the goal set, the cached trial count is identical across thread counts.
 TEST(JustifyCacheDifferential, ModesAndThreadsAreResultIdentical) {
   for (const std::uint64_t seed : {3u, 11u, 27u}) {
     const netlist::Netlist nl = generated_circuit(seed);
@@ -92,8 +90,7 @@ TEST(JustifyCacheDifferential, ModesAndThreadsAreResultIdentical) {
 
     long cached_trials = -1;
     for (const JustifyCacheMode mode :
-         {JustifyCacheMode::kOff, JustifyCacheMode::kShared,
-          JustifyCacheMode::kPerWorker}) {
+         {JustifyCacheMode::kOff, JustifyCacheMode::kShared}) {
       for (const int threads : {1, 4, 8}) {
         const EnumRun run = enumerate(nl, mode, threads);
         EXPECT_EQ(run.fingerprints, base.fingerprints)
@@ -116,7 +113,7 @@ TEST(JustifyCacheDifferential, ModesAndThreadsAreResultIdentical) {
                     base.stats.vector_trials);
           if (cached_trials < 0) cached_trials = run.stats.vector_trials;
           EXPECT_EQ(run.stats.vector_trials, cached_trials)
-              << "verdict purity makes prune decisions mode- and "
+              << "verdict purity makes prune decisions "
                "thread-count-independent";
         }
       }
@@ -155,16 +152,12 @@ TEST(JustifyCacheDifferential, TimingReportBytesIdenticalAcrossModes) {
   const std::string base =
       render(JustifyCacheMode::kOff, JustifyTier::kBoth, 1);
   ASSERT_FALSE(base.empty());
-  for (const JustifyCacheMode mode :
-       {JustifyCacheMode::kShared, JustifyCacheMode::kPerWorker}) {
-    for (const JustifyTier tier :
-         {JustifyTier::kImplication, JustifyTier::kSolver, JustifyTier::kBoth,
-          JustifyTier::kAdaptive}) {
-      for (const int threads : {1, 4, 8}) {
-        EXPECT_EQ(render(mode, tier, threads), base)
-            << "mode " << static_cast<int>(mode) << " tier "
-            << static_cast<int>(tier) << " threads " << threads;
-      }
+  for (const JustifyTier tier :
+       {JustifyTier::kImplication, JustifyTier::kBoth,
+        JustifyTier::kAdaptive}) {
+    for (const int threads : {1, 4, 8}) {
+      EXPECT_EQ(render(JustifyCacheMode::kShared, tier, threads), base)
+          << "tier " << static_cast<int>(tier) << " threads " << threads;
     }
   }
   // Adaptive with the cache off degenerates to the plain pipeline (there is
@@ -224,11 +217,10 @@ TEST(JustifyCacheDifferential, TinyCapacityOnlyCostsPrunes) {
 
 // --- Tiered refutation ------------------------------------------------------
 
-// The tier ablation knob must be invisible in the results: every tier
-// enumerates byte-identical paths, and within one tier the trial count is
-// identical across cache modes and thread counts (verdict purity).  The
-// tiers differ only in which counter absorbs each miss: the implication
-// tier never runs the solver, the solver tier never refutes by closure.
+// The tier knob must be invisible in the results: every tier enumerates
+// byte-identical paths, and within one tier the trial count is identical
+// across thread counts (verdict purity).  The tiers differ only in which
+// counter absorbs each miss: the implication tier never runs the solver.
 TEST(JustifyTierDifferential, TiersAreResultIdentical) {
   for (const std::uint64_t seed : {3u, 27u}) {
     const netlist::Netlist nl = generated_circuit(seed);
@@ -236,38 +228,29 @@ TEST(JustifyTierDifferential, TiersAreResultIdentical) {
     ASSERT_FALSE(base.fingerprints.empty()) << "seed " << seed;
 
     for (const JustifyTier tier :
-         {JustifyTier::kImplication, JustifyTier::kSolver,
-          JustifyTier::kBoth}) {
+         {JustifyTier::kImplication, JustifyTier::kBoth}) {
       long tier_trials = -1;
-      for (const JustifyCacheMode mode :
-           {JustifyCacheMode::kShared, JustifyCacheMode::kPerWorker}) {
-        for (const int threads : {1, 8}) {
-          const EnumRun run = enumerate(nl, mode, threads,
-                                        std::size_t{1} << 16, tier);
-          EXPECT_EQ(run.fingerprints, base.fingerprints)
-              << "seed " << seed << " tier " << static_cast<int>(tier)
-              << " mode " << static_cast<int>(mode) << " threads "
-              << threads;
-          EXPECT_LE(run.stats.vector_trials + run.stats.cache_prunes,
-                    base.stats.vector_trials);
-          if (tier_trials < 0) tier_trials = run.stats.vector_trials;
-          EXPECT_EQ(run.stats.vector_trials, tier_trials)
-              << "per-tier verdict purity keeps prune decisions mode- and "
-                 "thread-count-independent";
-          if (tier == JustifyTier::kImplication) {
-            EXPECT_EQ(run.stats.solver_escalations, 0)
-                << "closure-only tier must never run the solver";
-          }
-          if (tier == JustifyTier::kSolver) {
-            EXPECT_EQ(run.stats.implication_refutes, 0)
-                << "solver-only tier must never refute by closure";
-          }
-          EXPECT_EQ(run.stats.cache_inserts + run.stats.cache_insert_races +
-                        run.stats.cache_full_drops,
-                    run.stats.cache_misses)
-              << "every miss resolves to exactly one insert outcome in "
-                 "every tier";
+      for (const int threads : {1, 8}) {
+        const EnumRun run = enumerate(nl, JustifyCacheMode::kShared, threads,
+                                      std::size_t{1} << 16, tier);
+        EXPECT_EQ(run.fingerprints, base.fingerprints)
+            << "seed " << seed << " tier " << static_cast<int>(tier)
+            << " threads " << threads;
+        EXPECT_LE(run.stats.vector_trials + run.stats.cache_prunes,
+                  base.stats.vector_trials);
+        if (tier_trials < 0) tier_trials = run.stats.vector_trials;
+        EXPECT_EQ(run.stats.vector_trials, tier_trials)
+            << "per-tier verdict purity keeps prune decisions "
+               "thread-count-independent";
+        if (tier == JustifyTier::kImplication) {
+          EXPECT_EQ(run.stats.solver_escalations, 0)
+              << "closure-only tier must never run the solver";
         }
+        EXPECT_EQ(run.stats.cache_inserts + run.stats.cache_insert_races +
+                      run.stats.cache_full_drops,
+                  run.stats.cache_misses)
+            << "every miss resolves to exactly one insert outcome in "
+               "every tier";
       }
     }
   }
@@ -319,26 +302,22 @@ TEST(JustifyTierDifferential, ImplicationConflictImpliesSolverConflict) {
 // component and each component verdict is cached under its own key, so a
 // refuted component re-refutes every future superset via a probe.  On a
 // circuit whose prefixes recombine refuted components, that must surface
-// as subset_hits; tiering must also strictly reduce solver escalations
-// relative to the solver-only pipeline.
+// as subset_hits; the closure tier must also refute some misses without
+// the solver.
 TEST(JustifyTierDifferential, SubsetLearningAndClosureAbsorbEscalations) {
   // Same profile shape as the bench's memo16 circuit: deep enough that
   // accumulated prefix conjunctions split into multiple components.
   const netlist::Netlist nl = generated_circuit(42, 16, 80, 8);
   const EnumRun both = enumerate(nl, JustifyCacheMode::kShared, 4,
                                  std::size_t{1} << 16, JustifyTier::kBoth);
-  const EnumRun solver_only =
-      enumerate(nl, JustifyCacheMode::kShared, 4, std::size_t{1} << 16,
-                JustifyTier::kSolver);
   const EnumRun closure_only =
       enumerate(nl, JustifyCacheMode::kShared, 4, std::size_t{1} << 16,
                 JustifyTier::kImplication);
 
   EXPECT_GT(both.stats.subset_hits, 0)
       << "multi-component misses should re-refute via cached components";
-  EXPECT_GT(both.stats.implication_refutes, 0);
-  EXPECT_LT(both.stats.solver_escalations, solver_only.stats.solver_escalations)
-      << "the closure tier must absorb some escalations";
+  EXPECT_GT(both.stats.implication_refutes, 0)
+      << "the closure tier must absorb some misses";
   // The closure-only tier negatively memoizes what it cannot refute, and
   // those entries answer repeat misses (negative hits).
   EXPECT_GT(closure_only.stats.negative_hits, 0);
@@ -346,7 +325,6 @@ TEST(JustifyTierDifferential, SubsetLearningAndClosureAbsorbEscalations) {
   // closure-only tier can only lose prunes relative to the full pipeline.
   EXPECT_LE(closure_only.stats.cache_prunes, both.stats.cache_prunes);
   EXPECT_EQ(closure_only.fingerprints, both.fingerprints);
-  EXPECT_EQ(solver_only.fingerprints, both.fingerprints);
 }
 
 // --- Adaptive escalation controller ----------------------------------------

@@ -96,51 +96,9 @@ TEST(RunReport, ValidatesAgainstDocumentedSchema) {
         "\"totals\"", "\"cache\"", "\"controller\"", "\"attribution\"",
         "\"sources\"", "\"hot_gates\"", "\"workers\"", "\"metrics\"",
         "\"refutes_per_escalation\"", "\"shard_occupancy\"",
-        "\"escalations_vetoed\"", "\"trial_lanes\"", "\"packed_sweeps\"",
-        "\"lanes_refuted\""}) {
+        "\"escalations_vetoed\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  // A scalar run echoes its lane width and zero packed totals.
-  EXPECT_NE(json.find("\"trial_lanes\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"packed_sweeps\": 0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"lanes_refuted\": 0"), std::string::npos) << json;
-}
-
-// A packed run surfaces its lane width and nonzero sweep totals in the
-// report, so a consumer can tell from the artifact alone whether (and how
-// wide) bit-parallel trial evaluation ran.
-TEST(RunReport, PackedRunEchoesLanesAndSweepTotals) {
-  const netlist::Netlist nl = generated_circuit(7);
-  util::MetricsRegistry registry;
-  PathFinderOptions opt;
-  opt.justify_cache = JustifyCacheMode::kShared;
-  opt.trial_lanes = 16;
-  opt.metrics = &registry;
-  PathFinder finder(nl, testing::test_charlib("90nm"), opt);
-  const PathFinderStats stats = finder.run([](const TruePath&) {});
-  const util::MetricsSnapshot metrics = registry.snapshot();
-
-  RunReportInputs in;
-  in.circuit = nl.name();
-  in.netlist = &nl;
-  in.options = &opt;
-  in.stats = &stats;
-  in.metrics = &metrics;
-  std::ostringstream os;
-  write_run_report(in, os);
-  const std::string json = os.str();
-  EXPECT_TRUE(testing::is_valid_json(json)) << json;
-  EXPECT_NE(json.find("\"trial_lanes\": 16"), std::string::npos) << json;
-  EXPECT_GT(stats.packed_sweeps, 0);
-  EXPECT_GT(stats.lanes_refuted, 0);
-  EXPECT_NE(json.find("\"packed_sweeps\": " +
-                      std::to_string(stats.packed_sweeps)),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"lanes_refuted\": " +
-                      std::to_string(stats.lanes_refuted)),
-            std::string::npos)
-      << json;
 }
 
 // Null sections must not change the key set: a report with no inputs at

@@ -222,10 +222,12 @@ TEST(FlightDump, KindNamesCoverAllKindsAndFallBackOnGarbage) {
   EXPECT_STREQ(flight_event_kind_name(
                    static_cast<std::uint8_t>(FlightEventKind::kTrial)),
                "trial");
-  EXPECT_STREQ(flight_event_kind_name(
-                   static_cast<std::uint8_t>(FlightEventKind::kPackedSweep)),
-               "packed_sweep");
   EXPECT_STREQ(flight_event_kind_name(0xEE), "?");
+  // Kind values are part of the dump format: retired 8 stays unnamed and
+  // the kinds after it keep their numbers.
+  EXPECT_STREQ(flight_event_kind_name(8), "?");
+  EXPECT_EQ(static_cast<int>(FlightEventKind::kBacktrackBurst), 9);
+  EXPECT_EQ(static_cast<int>(FlightEventKind::kTaskSteal), 12);
 }
 
 // --- Stall report + watchdog ------------------------------------------------

@@ -59,9 +59,15 @@ TEST(TraceConcurrency, SerializationWhileWritersRunIsValidJson) {
   TraceCollector trace;
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
+  // Each writer stops after a bounded number of spans: unbounded writers
+  // can outrun the serializations below (each one walks every recorded
+  // event), growing the trace by gigabytes before stop is ever set.
+  constexpr int kMaxSpansPerWriter = 20000;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&trace, &stop, t] {
-      while (!stop.load(std::memory_order_relaxed)) {
+      for (int n = 0;
+           n < kMaxSpansPerWriter && !stop.load(std::memory_order_relaxed);
+           ++n) {
         TraceSpan span(&trace, "hot \"span\"\n", t + 1);
       }
     });

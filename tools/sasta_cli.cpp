@@ -23,33 +23,27 @@
 //                        Results are bit-identical either way — stealing
 //                        changes who executes the work, never what is
 //                        searched or the order results are reported in.
-//   --justify-cache M    off | shared | per-worker  (default shared):
-//                        memoize fresh-state justification verdicts so
+//   --justify-cache M    off | shared  (default shared): memoize
+//                        fresh-state justification verdicts in one
+//                        lock-free table across all worker threads, so
 //                        infeasible sensitization conjunctions are refuted
 //                        once instead of per source/thread.  Results are
-//                        bit-identical in every mode; "shared" is one
-//                        lock-free table across all worker threads.
+//                        bit-identical either way; "off" is the uncached
+//                        reference search.
 //   --justify-cache-slots N  memo table capacity in entries (default 65536)
-//   --justify-tier T     implication | solver | both | adaptive  (default
-//                        both): how memo-cache misses are refuted.
-//                        "implication" runs only the zero-backtracking
-//                        implication closure; "solver" only the budgeted
-//                        backtracking solver; "both" tries the closure
-//                        first and escalates the survivors; "adaptive" is
-//                        "both" behind an online payoff controller that
-//                        stops escalating when refutes-per-escalation
-//                        drops below --escalation-payoff.  Reported paths
-//                        are bit-identical at every tier.
+//   --justify-tier T     implication | both | adaptive  (default both): how
+//                        memo-cache misses are refuted.  "implication" runs
+//                        only the zero-backtracking implication closure;
+//                        "both" tries the closure first and escalates the
+//                        survivors to the budgeted backtracking solver;
+//                        "adaptive" is "both" behind an online payoff
+//                        controller that stops escalating when
+//                        refutes-per-escalation drops below
+//                        --escalation-payoff.  Reported paths are
+//                        bit-identical at every tier.
 //   --escalation-payoff X  adaptive tier: minimum smoothed
 //                        refutes-per-escalation to keep the solver tier
 //                        enabled (default 0.1; 0 = never disable)
-//   --trial-lanes L      1 | 16 | 32  (default 1): pack L candidate
-//                        sensitization vectors per machine word and refute
-//                        them with one bit-sliced implication sweep before
-//                        the scalar trial loop.  Strictly result-neutral:
-//                        paths, slacks and every search counter are
-//                        bit-identical to --trial-lanes 1 at every thread
-//                        count and cache mode; only wall clock changes.
 //   --baseline           also run the two-step commercial-style baseline
 //   --golden             verify reported paths with transistor-level
 //                        simulation
@@ -137,27 +131,26 @@
 
 namespace {
 
+/// The analysis options the CLI starts from: the library's search and
+/// delay defaults, plus the run limits a command-line run wants (report the
+/// 10 worst paths, a 60 s wall-clock guard, every hardware thread).
+sasta::sta::StaToolOptions cli_tool_defaults() {
+  sasta::sta::StaToolOptions t;
+  t.keep_worst = 10;
+  t.finder.max_seconds = 60.0;
+  t.finder.num_threads = 0;
+  return t;
+}
+
 struct Options {
   std::string netlist;
   std::string tech = "90nm";
-  long paths = 10;
-  double max_seconds = 60.0;
-  int budget = 2000;
-  int threads = 0;  ///< 0 = all hardware threads
-  sasta::sta::ScheduleMode schedule = sasta::sta::ScheduleMode::kSource;
-  /// CLI default is the shared cache (the library default stays kOff so
-  /// programmatic users opt in explicitly).
-  sasta::sta::JustifyCacheMode justify_cache =
-      sasta::sta::JustifyCacheMode::kShared;
-  std::size_t justify_cache_slots = std::size_t{1} << 16;
-  sasta::sta::JustifyTier justify_tier = sasta::sta::JustifyTier::kBoth;
-  double escalation_payoff = 0.1;  ///< adaptive-tier controller threshold
-  int trial_lanes = 1;             ///< packed-trial lanes (1 = scalar)
+  /// Search and delay options, parsed straight into the library struct and
+  /// handed unchanged to the batch run and to every --serve session.
+  sasta::sta::StaToolOptions tool = cli_tool_defaults();
   bool baseline = false;
   bool golden = false;
   bool full_char = false;
-  double temp_c = 25.0;
-  double vdd = 0.0;
   std::string write_verilog;
   bool quiet = false;
   bool report = false;        ///< detailed per-stage report of the worst path
@@ -165,7 +158,6 @@ struct Options {
   bool corners = false;       ///< fast/typ/slow multi-corner summary
   bool prune = false;         ///< N-worst branch-and-bound (uses --paths)
   bool erc = false;           ///< max-slew / max-cap electrical rule checks
-  long fastest = 0;           ///< also report the N fastest (hold) paths
   std::string write_sdf;      ///< SDF annotation output file
   std::string metrics_json;   ///< run-metrics JSON output file
   std::string trace_out;      ///< Chrome trace-event JSON output file
@@ -187,10 +179,10 @@ struct Options {
             << " [--tech T] [--paths N] [--prune] [--max-seconds S]\n"
                "       [--budget B] [--threads N] [--schedule source|steal]\n"
                "       [--baseline] [--golden]\n"
-               "       [--justify-cache off|shared|per-worker]\n"
+               "       [--justify-cache off|shared]\n"
                "       [--justify-cache-slots N]\n"
-               "       [--justify-tier implication|solver|both|adaptive]\n"
-               "       [--escalation-payoff X] [--trial-lanes 1|16|32]\n"
+               "       [--justify-tier implication|both|adaptive]\n"
+               "       [--escalation-payoff X]\n"
                "       [--full-char]\n"
                "       [--temp T] [--vdd V] [--report] [--required NS]\n"
                "       [--corners] [--write-verilog F] [--write-sdf F] [-q]\n"
@@ -206,6 +198,7 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options o;
+  sasta::sta::PathFinderOptions& f = o.tool.finder;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto value = [&]() -> std::string {
@@ -240,19 +233,19 @@ Options parse_args(int argc, char** argv) {
     if (a == "--tech") {
       o.tech = value();
     } else if (a == "--paths") {
-      o.paths = long_value(1);
+      o.tool.keep_worst = long_value(1);
     } else if (a == "--max-seconds") {
-      o.max_seconds = double_value(0.0);
+      f.max_seconds = double_value(0.0);
     } else if (a == "--budget") {
-      o.budget = static_cast<int>(long_value(-1));
+      f.justify_backtrack_budget = static_cast<int>(long_value(-1));
     } else if (a == "--threads") {
-      o.threads = static_cast<int>(long_value(0));
+      f.num_threads = static_cast<int>(long_value(0));
     } else if (a == "--schedule") {
       const std::string mode = value();
       if (mode == "source") {
-        o.schedule = sasta::sta::ScheduleMode::kSource;
+        f.schedule = sasta::sta::ScheduleMode::kSource;
       } else if (mode == "steal") {
-        o.schedule = sasta::sta::ScheduleMode::kSteal;
+        f.schedule = sasta::sta::ScheduleMode::kSteal;
       } else {
         std::cerr << "unknown --schedule mode '" << mode
                   << "' (source | steal)\n";
@@ -261,42 +254,31 @@ Options parse_args(int argc, char** argv) {
     } else if (a == "--justify-cache") {
       const std::string mode = value();
       if (mode == "off") {
-        o.justify_cache = sasta::sta::JustifyCacheMode::kOff;
+        f.justify_cache = sasta::sta::JustifyCacheMode::kOff;
       } else if (mode == "shared") {
-        o.justify_cache = sasta::sta::JustifyCacheMode::kShared;
-      } else if (mode == "per-worker") {
-        o.justify_cache = sasta::sta::JustifyCacheMode::kPerWorker;
+        f.justify_cache = sasta::sta::JustifyCacheMode::kShared;
       } else {
         std::cerr << "unknown --justify-cache mode '" << mode
-                  << "' (off | shared | per-worker)\n";
+                  << "' (off | shared)\n";
         usage(argv[0]);
       }
     } else if (a == "--justify-cache-slots") {
-      o.justify_cache_slots = static_cast<std::size_t>(long_value(1));
+      f.justify_cache_capacity = static_cast<std::size_t>(long_value(1));
     } else if (a == "--justify-tier") {
       const std::string tier = value();
       if (tier == "implication") {
-        o.justify_tier = sasta::sta::JustifyTier::kImplication;
-      } else if (tier == "solver") {
-        o.justify_tier = sasta::sta::JustifyTier::kSolver;
+        f.justify_tier = sasta::sta::JustifyTier::kImplication;
       } else if (tier == "both") {
-        o.justify_tier = sasta::sta::JustifyTier::kBoth;
+        f.justify_tier = sasta::sta::JustifyTier::kBoth;
       } else if (tier == "adaptive") {
-        o.justify_tier = sasta::sta::JustifyTier::kAdaptive;
+        f.justify_tier = sasta::sta::JustifyTier::kAdaptive;
       } else {
         std::cerr << "unknown --justify-tier '" << tier
-                  << "' (implication | solver | both | adaptive)\n";
+                  << "' (implication | both | adaptive)\n";
         usage(argv[0]);
       }
     } else if (a == "--escalation-payoff") {
-      o.escalation_payoff = double_value(0.0);
-    } else if (a == "--trial-lanes") {
-      o.trial_lanes = static_cast<int>(long_value(1));
-      if (o.trial_lanes != 1 && o.trial_lanes != 16 && o.trial_lanes != 32) {
-        std::cerr << "invalid --trial-lanes " << o.trial_lanes
-                  << " (1 | 16 | 32)\n";
-        usage(argv[0]);
-      }
+      f.escalation_payoff = double_value(0.0);
     } else if (a == "--baseline") {
       o.baseline = true;
     } else if (a == "--golden") {
@@ -304,9 +286,9 @@ Options parse_args(int argc, char** argv) {
     } else if (a == "--full-char") {
       o.full_char = true;
     } else if (a == "--temp") {
-      o.temp_c = double_value(-273.15);
+      o.tool.delay.temperature_c = double_value(-273.15);
     } else if (a == "--vdd") {
-      o.vdd = double_value(0.0);
+      o.tool.delay.vdd = double_value(0.0);
     } else if (a == "--write-verilog") {
       o.write_verilog = value();
     } else if (a == "-q") {
@@ -322,7 +304,7 @@ Options parse_args(int argc, char** argv) {
     } else if (a == "--erc") {
       o.erc = true;
     } else if (a == "--fastest") {
-      o.fastest = long_value(0);
+      o.tool.keep_fastest = long_value(0);
     } else if (a == "--write-sdf") {
       o.write_sdf = value();
     } else if (a == "--metrics-json") {
@@ -431,18 +413,7 @@ int main(int argc, char** argv) {
     so.tech = opt.tech;
     so.full_char = opt.full_char;
     so.metrics_json_path = opt.metrics_json;
-    sta::StaToolOptions& sopt = so.session_defaults.tool;
-    sopt.finder.max_seconds = opt.max_seconds;
-    sopt.finder.justify_backtrack_budget = opt.budget;
-    sopt.finder.num_threads = opt.threads;
-    sopt.finder.schedule = opt.schedule;
-    sopt.finder.justify_cache = opt.justify_cache;
-    sopt.finder.justify_cache_capacity = opt.justify_cache_slots;
-    sopt.finder.justify_tier = opt.justify_tier;
-    sopt.finder.escalation_payoff = opt.escalation_payoff;
-    sopt.finder.trial_lanes = opt.trial_lanes;
-    sopt.delay.temperature_c = opt.temp_c;
-    sopt.delay.vdd = opt.vdd;
+    so.session_defaults.tool = opt.tool;
     util::install_interrupt_handler();
     try {
       server::Server server(so);
@@ -525,21 +496,8 @@ int main(int argc, char** argv) {
     }();
 
     // --- Developed tool -----------------------------------------------------
-    sta::StaToolOptions sopt;
-    sopt.keep_worst = opt.paths;
-    sopt.finder.max_seconds = opt.max_seconds;
-    sopt.finder.justify_backtrack_budget = opt.budget;
-    sopt.finder.num_threads = opt.threads;
-    sopt.finder.schedule = opt.schedule;
-    sopt.finder.justify_cache = opt.justify_cache;
-    sopt.finder.justify_cache_capacity = opt.justify_cache_slots;
-    sopt.finder.justify_tier = opt.justify_tier;
-    sopt.finder.escalation_payoff = opt.escalation_payoff;
-    sopt.finder.trial_lanes = opt.trial_lanes;
-    sopt.delay.temperature_c = opt.temp_c;
-    sopt.delay.vdd = opt.vdd;
-    if (opt.prune) sopt.finder.n_worst = opt.paths;
-    sopt.keep_fastest = opt.fastest;
+    sta::StaToolOptions sopt = opt.tool;
+    if (opt.prune) sopt.finder.n_worst = sopt.keep_worst;
     sopt.finder.metrics = metrics;
     sopt.finder.trace = trace;
     sta::SearchAttribution attribution;
@@ -554,7 +512,7 @@ int main(int argc, char** argv) {
     // SIGINT handling is independent of the recorder: the first Ctrl-C
     // requests a cooperative stop so a partial report can still be written.
     util::FlightRecorder::Config fcfg;
-    fcfg.lanes = util::ThreadPool::resolve(opt.threads);
+    fcfg.lanes = util::ThreadPool::resolve(sopt.finder.num_threads);
     util::FlightRecorder flight_storage(fcfg);
     util::FlightRecorder* flight =
         opt.flight_recorder ? &flight_storage : nullptr;
@@ -589,7 +547,7 @@ int main(int argc, char** argv) {
               << res.stats.multi_vector_courses << " multi-vector, "
               << res.stats.justify_limited << " budget drops"
               << (res.stats.truncated ? ", TRUNCATED" : "") << ")\n";
-    if (opt.justify_cache != sta::JustifyCacheMode::kOff) {
+    if (sopt.finder.justify_cache != sta::JustifyCacheMode::kOff) {
       const long probes = res.stats.cache_hits + res.stats.cache_misses;
       std::cout << "justify cache: " << res.stats.cache_prunes
                 << " trials pruned, " << res.stats.cache_hits << "/" << probes
@@ -630,8 +588,8 @@ int main(int argc, char** argv) {
       std::cout << " > " << nl.net(tp.path.sink).name;
       if (opt.golden) {
         golden::PathSimOptions gopt;
-        gopt.temperature_c = opt.temp_c;
-        gopt.vdd = opt.vdd;
+        gopt.temperature_c = sopt.delay.temperature_c;
+        gopt.vdd = sopt.delay.vdd;
         const auto g = golden::simulate_path(nl, cl, tech, tp.path, gopt);
         std::cout << "  [golden " << util::format_fixed(g.path_delay * 1e12, 1)
                   << " ps, err "
@@ -642,7 +600,7 @@ int main(int argc, char** argv) {
       std::cout << "\n";
     }
 
-    if (opt.fastest > 0 && !res.fastest.empty()) {
+    if (sopt.keep_fastest > 0 && !res.fastest.empty()) {
       std::cout << "fastest true paths (hold side):\n";
       for (const auto& tp : res.fastest) {
         std::cout << "  " << util::format_fixed(tp.delay * 1e12, 1) << " ps  "
@@ -660,8 +618,8 @@ int main(int argc, char** argv) {
     if (!opt.write_sdf.empty()) {
       std::ofstream os(opt.write_sdf);
       sta::SdfOptions sdf_opt;
-      sdf_opt.temperature_c = opt.temp_c;
-      sdf_opt.vdd = opt.vdd;
+      sdf_opt.temperature_c = sopt.delay.temperature_c;
+      sdf_opt.vdd = sopt.delay.vdd;
       sta::write_sdf(nl, cl, tech, os, sdf_opt);
       std::cout << "wrote " << opt.write_sdf << "\n";
     }
@@ -697,8 +655,8 @@ int main(int argc, char** argv) {
     if (opt.baseline) {
       Phase phase(metrics, trace, "baseline");
       baseline::BaselineOptions bopt;
-      bopt.delay.temperature_c = opt.temp_c;
-      bopt.delay.vdd = opt.vdd;
+      bopt.delay.temperature_c = sopt.delay.temperature_c;
+      bopt.delay.vdd = sopt.delay.vdd;
       baseline::BaselineTool base(nl, cl, tech, bopt);
       const auto bres = base.run();
       std::cout << "\n[baseline] explored " << bres.explored << " in "

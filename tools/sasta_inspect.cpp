@@ -218,8 +218,6 @@ std::string describe(const Dump& d, const Event& e) {
        << " backtracks " << e.b;
   } else if (e.kind == "escalation_veto") {
     os << "gate " << resolve_id(d.inst_names, e.a);
-  } else if (e.kind == "packed_sweep") {
-    os << e.a << " lanes, " << e.b << " refuted";
   } else if (e.kind == "backtrack_burst") {
     os << e.a << " backtracks, alive " << e.b;
   } else if (e.kind == "path_recorded") {
