@@ -74,6 +74,29 @@ void BM_ForwardImplication(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardImplication);
 
+// One three-valued evaluation of every c432 instance (four init/final
+// parts each) over a state where every net holds a random mix of 0, 1 and
+// X components — the implication engine's inner kernel.
+void BM_GateEval(benchmark::State& state) {
+  const netlist::Netlist& nl = mapped_c432();
+  sta::AssignmentState st(nl.num_nets());
+  sta::ImplicationEngine eng(nl, st);
+  util::Rng rng(8080);
+  auto random_tri = [&] {
+    return static_cast<logicsys::TriVal>(rng.next_below(3));
+  };
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+    st.refine(n, {random_tri(), random_tri()}, {random_tri(), random_tri()});
+  }
+  for (auto _ : state) {
+    for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+      benchmark::DoNotOptimize(eng.evaluate(i));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * nl.num_instances());
+}
+BENCHMARK(BM_GateEval);
+
 void BM_Justification(benchmark::State& state) {
   const netlist::Netlist& nl = mapped_c432();
   // Justify a mid-level net to 1.

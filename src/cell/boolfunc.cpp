@@ -25,41 +25,20 @@ TruthTable TruthTable::from_bits(std::uint64_t bits, int num_inputs) {
       << " unsupported input count " << num_inputs;
   TruthTable t;
   t.num_inputs_ = num_inputs;
-  const std::uint64_t mask = num_inputs == 6
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << (1u << num_inputs)) - 1;
-  t.bits_ = bits & mask;
+  t.bits_ = bits & domain_mask(num_inputs);
   return t;
 }
 
 TriVal TruthTable::eval3(std::span<const logicsys::TriVal> inputs) const {
   SASTA_CHECK(static_cast<int>(inputs.size()) == num_inputs_)
       << " input count " << inputs.size() << " vs " << num_inputs_;
-  std::uint32_t known_bits = 0;
-  std::uint32_t x_mask = 0;
+  std::uint32_t known = 0;
+  std::uint32_t ones = 0;
   for (int i = 0; i < num_inputs_; ++i) {
-    if (inputs[i] == TriVal::kOne) {
-      known_bits |= 1u << i;
-    } else if (inputs[i] == TriVal::kX) {
-      x_mask |= 1u << i;
-    }
+    if (inputs[i] != TriVal::kX) known |= 1u << i;
+    if (inputs[i] == TriVal::kOne) ones |= 1u << i;
   }
-  // Enumerate the X inputs; if all completions agree the output is known.
-  bool saw0 = false;
-  bool saw1 = false;
-  // Iterate over all subsets of x_mask.
-  std::uint32_t sub = 0;
-  while (true) {
-    if (value(known_bits | sub)) {
-      saw1 = true;
-    } else {
-      saw0 = true;
-    }
-    if (saw0 && saw1) return TriVal::kX;
-    if (sub == x_mask) break;
-    sub = (sub - x_mask) & x_mask;  // next subset of x_mask
-  }
-  return saw1 ? TriVal::kOne : TriVal::kZero;
+  return eval3(known, ones);
 }
 
 std::vector<Cube> TruthTable::prime_cubes(bool target) const {

@@ -45,8 +45,24 @@ class TruthTable {
     return (bits_ >> minterm) & 1u;
   }
 
-  /// Three-valued evaluation: exact (enumerates the X inputs, <= 2^6 cases).
+  /// Three-valued evaluation, exact: the known inputs select a cube of
+  /// minterms, and the output is known iff the function is constant on it.
   logicsys::TriVal eval3(std::span<const logicsys::TriVal> inputs) const;
+
+  /// eval3 with the inputs already packed: bit i of `known` is set iff input
+  /// i is 0 or 1, and bit i of `ones` iff it is 1 (`ones` within `known`).
+  /// The cube mask is the AND of the known inputs' variable masks, so the
+  /// call is at most six word operations and two compares.
+  logicsys::TriVal eval3(std::uint32_t known, std::uint32_t ones) const {
+    std::uint64_t cube = domain_mask(num_inputs_);
+    for (std::uint32_t k = known; k != 0; k &= k - 1) {
+      const int i = __builtin_ctz(k);
+      cube &= (ones >> i) & 1u ? kVarMask[i] : ~kVarMask[i];
+    }
+    const std::uint64_t on = bits_ & cube;
+    if (on == 0) return logicsys::TriVal::kZero;
+    return on == cube ? logicsys::TriVal::kOne : logicsys::TriVal::kX;
+  }
 
   /// All prime cubes c with f|c == target (ON-set or OFF-set primes).
   /// Sorted by ascending literal count, i.e. "easiest to justify" first.
@@ -67,6 +83,16 @@ class TruthTable {
   bool operator==(const TruthTable&) const = default;
 
  private:
+  /// Minterms with input i at 1, over the full 6-input word.
+  static constexpr std::uint64_t kVarMask[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  /// Minterms that exist for an n-input function.
+  static constexpr std::uint64_t domain_mask(int n) {
+    return n == 6 ? ~std::uint64_t{0}
+                  : (std::uint64_t{1} << (1u << n)) - 1;
+  }
+
   int num_inputs_ = 0;
   std::uint64_t bits_ = 0;
 };

@@ -17,6 +17,8 @@ Cell::Cell(CellSpec spec)
       << " cell " << name_ << " pin count";
   SASTA_CHECK(expr_ != nullptr) << " cell " << name_ << " missing function";
   function_ = TruthTable::from_expr(*expr_, num_inputs());
+  primes_[0] = function_.prime_cubes(false);
+  primes_[1] = function_.prime_cubes(true);
 
   input_inverted_.assign(num_inputs(), false);
   // Collect complemented literals from the PDN (the PUN is its dual and uses

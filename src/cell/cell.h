@@ -32,6 +32,11 @@ class Cell {
   int pin_index(const std::string& pin_name) const;
 
   const TruthTable& function() const { return function_; }
+  /// function().prime_cubes(target), computed once at construction: the
+  /// justifier and the controllability pass read it at every decision.
+  const std::vector<Cube>& prime_cubes(bool target) const {
+    return primes_[target ? 1 : 0];
+  }
   const ExprPtr& function_expr() const { return expr_; }
   const SpTree& pdn() const { return pdn_; }
   const SpTree& pun() const { return pun_; }
@@ -65,6 +70,7 @@ class Cell {
   std::vector<std::string> pin_names_;
   ExprPtr expr_;
   TruthTable function_;
+  std::vector<Cube> primes_[2];  ///< OFF-set, ON-set
   SpTree pdn_;
   SpTree pun_;
   bool output_inverter_;

@@ -18,8 +18,7 @@ Controllability compute_controllability(const netlist::Netlist& nl) {
     const netlist::Instance& inst = nl.instance(ii);
     for (const bool value : {false, true}) {
       int best = kInf;
-      for (const cell::Cube& cube :
-           inst.cell->function().prime_cubes(value)) {
+      for (const cell::Cube& cube : inst.cell->prime_cubes(value)) {
         int cost = 1;
         for (int p = 0; p < inst.cell->num_inputs(); ++p) {
           if (!cube.constrains(p)) continue;

@@ -1,29 +1,44 @@
 #include "sta/implication.h"
 
-#include <array>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 
 namespace sasta::sta {
 
 using logicsys::NineVal;
 using logicsys::TriVal;
 
+// A DualVal is four TriVal bytes (r.init, r.fin, f.init, f.fin); with
+// kOne = 1 and kX = 2, bit 0 of a byte says "one" and bit 1 says "X".
+static_assert(sizeof(DualVal) == 4 &&
+              std::endian::native == std::endian::little);
+static_assert(static_cast<int>(TriVal::kOne) == 1 &&
+              static_cast<int>(TriVal::kX) == 2);
+
 DualVal ImplicationEngine::evaluate(netlist::InstId inst) const {
   const netlist::Instance& g = nl_.instance(inst);
   const int n = g.cell->num_inputs();
-  std::array<TriVal, 8> init_r, fin_r, init_f, fin_f;
+  // One pass builds the (known, ones) input masks of all four parts: pin p
+  // of part k lands on bit 8k + p of `ones` / `xs`.
+  std::uint32_t ones = 0;
+  std::uint32_t xs = 0;
   for (int p = 0; p < n; ++p) {
-    const DualVal& v = state_.value(g.inputs[p]);
-    init_r[p] = v.r.init;
-    fin_r[p] = v.r.fin;
-    init_f[p] = v.f.init;
-    fin_f[p] = v.f.fin;
+    std::uint32_t word = 0;
+    std::memcpy(&word, &state_.value(g.inputs[p]), sizeof word);
+    ones |= (word & 0x01010101u) << p;
+    xs |= ((word >> 1) & 0x01010101u) << p;
   }
+  const std::uint32_t pins = (1u << n) - 1;
   const cell::TruthTable& tt = g.cell->function();
+  auto part = [&](int k) {
+    return tt.eval3(~(xs >> 8 * k) & pins, (ones >> 8 * k) & pins);
+  };
   DualVal out;
-  out.r.init = tt.eval3({init_r.data(), static_cast<std::size_t>(n)});
-  out.r.fin = tt.eval3({fin_r.data(), static_cast<std::size_t>(n)});
-  out.f.init = tt.eval3({init_f.data(), static_cast<std::size_t>(n)});
-  out.f.fin = tt.eval3({fin_f.data(), static_cast<std::size_t>(n)});
+  out.r.init = part(0);
+  out.r.fin = part(1);
+  out.f.init = part(2);
+  out.f.fin = part(3);
   return out;
 }
 

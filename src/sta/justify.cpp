@@ -183,7 +183,7 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
   // equivalent).  Endpoint-stable-but-glitchy support fails every cube.
 
   const netlist::Instance& g = nl_.instance(driver);
-  auto cubes = g.cell->function().prime_cubes(value);
+  const std::vector<cell::Cube>& cubes = g.cell->prime_cubes(value);
 
   // Prune and order the branch choices:
   //  - a cube with a literal that already contradicts the state (in every
@@ -191,6 +191,23 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
   //  - among the rest, try the cheapest first: literals already satisfied
   //    cost nothing, otherwise SCOAP controllability (when provided) or the
   //    literal count estimates the justification effort.
+  // Survivors are ranked by index in a stack buffer (heap only for cells
+  // with more primes than it holds).  Insertion after every equal cost
+  // keeps the order exactly std::stable_sort's over the prime order: the
+  // branch order, and so every budget-limited verdict, depends on it.
+  struct Ranked {
+    long cost;
+    std::uint32_t cube;
+  };
+  constexpr std::size_t kInlineCubes = 16;
+  Ranked inline_ranked[kInlineCubes] = {};
+  std::vector<Ranked> heap_ranked;
+  Ranked* ranked = inline_ranked;
+  if (cubes.size() > kInlineCubes) {
+    heap_ranked.resize(cubes.size());
+    ranked = heap_ranked.data();
+  }
+  std::size_t num_ranked = 0;
   {
     auto literal_state = [&](netlist::NetId in, bool lit) {
       // 0 = already satisfied, 1 = open, 2 = contradicts.
@@ -207,9 +224,8 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
       }
       return sat ? 0 : contra ? 2 : 1;
     };
-    std::vector<std::pair<long, cell::Cube>> ranked;
-    ranked.reserve(cubes.size());
-    for (const auto& cube : cubes) {
+    for (std::size_t c = 0; c < cubes.size(); ++c) {
+      const cell::Cube& cube = cubes[c];
       long cost = 0;
       bool dead = false;
       for (int p = 0; p < g.cell->num_inputs() && !dead; ++p) {
@@ -221,17 +237,17 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
           cost += guide_ ? guide_->cost(g.inputs[p], cube.literal(p)) : 1;
         }
       }
-      if (!dead) ranked.emplace_back(cost, cube);
+      if (dead) continue;
+      std::size_t at = num_ranked++;
+      for (; at > 0 && ranked[at - 1].cost > cost; --at) {
+        ranked[at] = ranked[at - 1];
+      }
+      ranked[at] = {cost, static_cast<std::uint32_t>(c)};
     }
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    cubes.clear();
-    for (auto& [cost, cube] : ranked) cubes.push_back(cube);
   }
 
-  for (const auto& cube : cubes) {
+  for (std::size_t r = 0; r < num_ranked; ++r) {
+    const cell::Cube& cube = cubes[ranked[r].cube];
     const AssignmentState::Mark mark = state_.mark();
     const std::size_t saved_goals = goals.size();
     for (int p = 0; p < g.cell->num_inputs(); ++p) {

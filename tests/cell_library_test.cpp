@@ -56,6 +56,24 @@ TEST(Library, EveryCellValidatesItsNetworks) {
   EXPECT_TRUE(mux2.function().value(0b110));   // B=1, S=1
 }
 
+// The per-cell prime table the justifier reads must be exactly what
+// TruthTable::prime_cubes computes, in the same order: the justifier's
+// branch order (and so every budget-limited verdict) follows it.
+TEST(Library, CellPrimeTableMatchesTruthTablePrimes) {
+  for (const Cell& c : lib().cells()) {
+    for (const bool target : {false, true}) {
+      const std::vector<Cube> expected = c.function().prime_cubes(target);
+      const std::vector<Cube>& table = c.prime_cubes(target);
+      ASSERT_EQ(table.size(), expected.size()) << c.name() << " " << target;
+      ASSERT_FALSE(table.empty()) << c.name() << " " << target;
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        EXPECT_EQ(table[i], expected[i])
+            << c.name() << " " << target << " cube " << i;
+      }
+    }
+  }
+}
+
 TEST(Library, InvalidNetworkRejected) {
   // NAND function with a parallel (NOR-like) PDN must fail validation.
   EXPECT_THROW(Cell({"BROKEN",

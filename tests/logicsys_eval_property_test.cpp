@@ -30,18 +30,30 @@ TriVal brute_eval3(const TruthTable& t, const std::vector<TriVal>& in) {
   return saw1 ? TriVal::kOne : TriVal::kZero;
 }
 
+// Every one of the 3^n input vectors, n = 1..6, on random functions plus
+// the constants and parity: covers 1-input cells and the full 64-bit word
+// of a 6-input function, where the cube masks reach the top bit.
 TEST(Eval3Property, MatchesBruteForceOnRandomFunctions) {
   util::Rng rng(515);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int n = 2 + static_cast<int>(rng.next_below(4));
-    const TruthTable t = TruthTable::from_bits(rng.next_u64(), n);
-    std::vector<TriVal> in(n);
-    for (auto& v : in) {
-      const auto r = rng.next_below(3);
-      v = r == 0 ? TriVal::kZero : r == 1 ? TriVal::kOne : TriVal::kX;
+  for (int n = 1; n <= 6; ++n) {
+    std::vector<std::uint64_t> functions = {0, ~std::uint64_t{0},
+                                            0x6996966996696996ull};
+    for (int f = 0; f < 24; ++f) functions.push_back(rng.next_u64());
+    for (const std::uint64_t bits : functions) {
+      const TruthTable t = TruthTable::from_bits(bits, n);
+      std::uint32_t num_vectors = 1;
+      for (int i = 0; i < n; ++i) num_vectors *= 3;
+      std::vector<TriVal> in(n);
+      for (std::uint32_t code = 0; code < num_vectors; ++code) {
+        std::uint32_t rest = code;
+        for (auto& v : in) {
+          v = static_cast<TriVal>(rest % 3);
+          rest /= 3;
+        }
+        ASSERT_EQ(t.eval3(in), brute_eval3(t, in))
+            << "n=" << n << " tt=" << t.to_string() << " vector " << code;
+      }
     }
-    EXPECT_EQ(t.eval3(in), brute_eval3(t, in))
-        << "n=" << n << " tt=" << t.to_string();
   }
 }
 

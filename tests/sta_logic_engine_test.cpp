@@ -213,5 +213,90 @@ TEST(Justify, BacktrackBudgetReported) {
   EXPECT_TRUE(r.backtrack_limited);
 }
 
+/// 6-input XOR: 32 prime cubes per polarity (its minterms), more than the
+/// justifier ranks in its stack buffer, so its decisions take the heap path.
+const cell::Cell& xor6() {
+  static const cell::Cell c = [] {
+    std::vector<cell::ExprPtr> terms;
+    std::vector<cell::SpTree> branches;
+    for (std::uint32_t m = 0; m < 64; ++m) {
+      if (__builtin_popcount(m) % 2 == 0) continue;
+      std::vector<cell::ExprPtr> literals;
+      std::vector<cell::SpTree> stack;
+      for (int p = 0; p < 6; ++p) {
+        const bool one = (m >> p) & 1u;
+        literals.push_back(one ? cell::Expr::var(p)
+                               : cell::Expr::inv(cell::Expr::var(p)));
+        stack.push_back(cell::SpTree::leaf(p, /*inverted_literal=*/!one));
+      }
+      terms.push_back(cell::Expr::et(std::move(literals)));
+      branches.push_back(cell::SpTree::series(std::move(stack)));
+    }
+    return cell::Cell({"XOR6", {"A", "B", "C", "D", "E", "F"},
+                       cell::Expr::ou(std::move(terms)),
+                       cell::SpTree::parallel(std::move(branches)),
+                       /*output_inverter=*/true});
+  }();
+  return c;
+}
+
+TEST(Justify, WideCellVerdictsMatchBruteForce) {
+  // z = XOR6(b, c, d, e, f, t) with t = OR2(a, NOT a), a tautology that
+  // implication alone cannot see: every cube with t = 0 (the first 16 in
+  // prime order) fails only after a nested backtrack, so the first cube
+  // that works is ranked 17th.  For every fixing of b..f to 0, 1 or free,
+  // and each target, the verdict must equal brute force (z = parity ^ 1).
+  ASSERT_EQ(xor6().prime_cubes(true).size(), 32u);
+  netlist::Netlist nl("wide");
+  std::vector<NetId> pis;
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    pis.push_back(nl.add_net(name));
+    nl.mark_primary_input(pis.back());
+  }
+  const NetId na = nl.add_net("na");
+  const NetId t = nl.add_net("t");
+  const NetId z = nl.add_net("z");
+  nl.add_instance("g0", lib().find("INV"), {pis[0]}, na);
+  nl.add_instance("g1", lib().find("OR2"), {pis[0], na}, t);
+  nl.add_instance("g2", &xor6(), {pis[1], pis[2], pis[3], pis[4], pis[5], t},
+                  z);
+  nl.mark_primary_output(z);
+
+  for (int code = 0; code < 243; ++code) {
+    for (const bool target : {false, true}) {
+      std::vector<Goal> goals;
+      bool any_free = false;
+      bool parity = true;  // t's contribution
+      int rest = code;
+      for (int i = 1; i <= 5; ++i, rest /= 3) {
+        if (rest % 3 == 2) {
+          any_free = true;
+          continue;
+        }
+        goals.push_back({pis[i], rest % 3 == 1});
+        parity ^= rest % 3 == 1;
+      }
+      goals.push_back({z, target});
+      AssignmentState s(nl.num_nets());
+      ImplicationEngine eng(nl, s);
+      Justifier j(nl, s, eng);
+      const auto r = j.justify_all(goals, kScenarioBoth);
+      const bool satisfiable = any_free || parity == target;
+      EXPECT_FALSE(r.backtrack_limited);
+      EXPECT_EQ(r.alive, satisfiable ? kScenarioBoth : kScenarioNone)
+          << "code " << code << " target " << target;
+      if (satisfiable) {
+        EXPECT_EQ(s.value(z).r, NineVal::stable(target)) << "code " << code;
+        EXPECT_EQ(s.value(t).r, NineVal::stable1()) << "code " << code;
+      }
+      if (code == 242) {
+        // b..f all free: 16 failed cubes, each one backtrack on the OR2's
+        // only OFF cube and one on the XOR6 cube itself.
+        EXPECT_EQ(j.backtracks(), 32);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sasta::sta

@@ -6,6 +6,7 @@
 #include "charlib/characterizer.h"
 #include "test_charlib.h"
 #include "netlist/bench_parser.h"
+#include "netlist/iscas_gen.h"
 #include "netlist/levelize.h"
 #include "netlist/techmap.h"
 #include "sta/sta_tool.h"
@@ -191,6 +192,30 @@ TEST(PathFinder, MaxPathsTruncates) {
   PathFinderStats stats = finder.run([](const TruePath&) {});
   EXPECT_TRUE(stats.truncated);
   EXPECT_EQ(stats.paths_recorded, 3);
+}
+
+// Search-order pin: the justifier's cube order decides every
+// budget-limited verdict, so a change to how cubes are computed, ranked or
+// evaluated must leave these counters exactly where they are.  One heavy
+// c432 source (about 1 s) under the default options at one thread:
+// vector_trials = 1850, backtracks = 2030687, justify_limited = 849,
+// paths_recorded = 344.  A different value is a changed search order, not
+// noise: at one thread every counter here is deterministic.
+TEST(PathFinder, C432HeavySourceSearchOrderIsPinned) {
+  const netlist::Netlist nl =
+      netlist::tech_map(
+          netlist::generate_iscas_like(netlist::iscas_profile("c432")), lib())
+          .netlist;
+  const NetId source = nl.net_id("I1");
+  PathFinderOptions opt;
+  opt.num_threads = 1;
+  opt.source_filter = [source](NetId n) { return n == source; };
+  PathFinder finder(nl, charlib(), opt);
+  const PathFinderStats stats = finder.run([](const TruePath&) {});
+  EXPECT_EQ(stats.vector_trials, 1850);
+  EXPECT_EQ(stats.backtracks, 2030687);
+  EXPECT_EQ(stats.justify_limited, 849);
+  EXPECT_EQ(stats.paths_recorded, 344);
 }
 
 TEST(StaTool, DelaysOrderedAndVectorsDiffer) {
