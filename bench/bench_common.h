@@ -87,8 +87,6 @@ struct BenchEntry {
   std::string circuit;
   double wall_s = 0.0;
   long vector_trials = 0;
-  std::string cache = "off";  ///< justify-cache mode: off/shared
-  std::string tier = "both";  ///< justify tier: implication/both/adaptive
   int threads = 1;
 };
 
@@ -136,9 +134,7 @@ class BenchJson {
       os << (i == 0 ? "" : ",") << "\n    {\"circuit\": "
          << util::json_quote(e.circuit) << ", \"wall_s\": "
          << util::json_number(e.wall_s) << ", \"vector_trials\": "
-         << e.vector_trials << ", \"cache\": " << util::json_quote(e.cache)
-         << ", \"tier\": " << util::json_quote(e.tier)
-         << ", \"threads\": " << e.threads << "}";
+         << e.vector_trials << ", \"threads\": " << e.threads << "}";
     }
     os << "\n  ]\n}\n";
   }

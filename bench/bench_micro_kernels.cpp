@@ -111,47 +111,6 @@ void BM_Justification(benchmark::State& state) {
 }
 BENCHMARK(BM_Justification);
 
-// --- implication-closure goal refutation --------------------------------
-// The memo cache's first refutation tier: 64 candidate steady-goal
-// conjunctions, each asserted and closed on one state and rolled back.
-// The batch mirrors the pathfinder's trial shape: the conjunctions are
-// alternative sensitization vectors for the SAME gate, so every one asserts
-// the same side-input nets and only the values differ.
-std::vector<std::vector<sta::Goal>> refutation_batch(
-    const netlist::Netlist& nl) {
-  util::Rng rng(424242);
-  std::vector<netlist::NetId> nets;
-  for (int i = 0; i < 6; ++i) {
-    nets.push_back(
-        static_cast<netlist::NetId>(rng.next_below(nl.num_nets() / 2)));
-  }
-  std::vector<std::vector<sta::Goal>> batch(64);
-  for (auto& goals : batch) {
-    for (const netlist::NetId n : nets) {
-      goals.push_back({n, rng.next_bool()});
-    }
-  }
-  return batch;
-}
-
-void BM_ScalarGoalRefutation(benchmark::State& state) {
-  const netlist::Netlist& nl = mapped_c432();
-  const auto batch = refutation_batch(nl);
-  sta::AssignmentState st(nl.num_nets());
-  sta::ImplicationEngine eng(nl, st);
-  for (auto _ : state) {
-    unsigned survivors = 0;
-    for (const auto& goals : batch) {
-      const sta::AssignmentState::Mark m = st.mark();
-      survivors += eng.assign_steady_goals(goals, sta::kScenarioBoth);
-      st.rollback(m);
-    }
-    benchmark::DoNotOptimize(survivors);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);  // conjunctions/second
-}
-BENCHMARK(BM_ScalarGoalRefutation);
-
 void BM_PathEnumerationC17(benchmark::State& state) {
   const auto mapped = netlist::tech_map(
       netlist::parse_bench_string(netlist::c17_bench_text()), library());

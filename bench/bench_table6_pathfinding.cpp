@@ -17,8 +17,7 @@
 // Machine-readable telemetry: when SASTA_BENCH_METRICS_JSON names a file,
 // the developed-tool runs share one MetricsRegistry (per-circuit table6.*
 // aggregates, per-source/per-worker pathfinder counters, thread-scaling
-// gauges, justification memo-cache hit-rate/prune counters) and the merged
-// JSON is written there, so BENCH trajectories can be diffed mechanically
+// gauges) and the merged JSON is written there, so BENCH trajectories can be diffed mechanically
 // across commits.
 #include <cstdlib>
 #include <fstream>
@@ -29,7 +28,6 @@
 #include "netlist/bench_parser.h"
 #include "netlist/iscas_gen.h"
 #include "netlist/techmap.h"
-#include "sta/justify_cache.h"
 #include "sta/sta_tool.h"
 #include "util/flight_recorder.h"
 #include "util/metrics.h"
@@ -100,7 +98,6 @@ DevelopedRun run_developed(const netlist::Netlist& nl,
   DevelopedRun out;
   sta::DelayCalculator calc(nl, cl, tech);
   sta::PathFinderOptions opt;
-  opt.justify_cache = sta::JustifyCacheMode::kOff;
   opt.max_seconds = fast_mode() ? 5.0 : 60.0;
   opt.max_paths = fast_mode() ? 200000 : 5000000;
   opt.metrics = metrics;
@@ -150,8 +147,8 @@ int run() {
     const netlist::Netlist& nl = mapped.netlist;
 
     const DevelopedRun dev = run_developed(nl, cl, tech, metrics);
-    bench_json.add({name, dev.stats.cpu_seconds, dev.stats.vector_trials,
-                    "off", "both", 1});
+    bench_json.add(
+        {name, dev.stats.cpu_seconds, dev.stats.vector_trials, 1});
     if (metrics != nullptr) {
       const std::string base = "table6." + name;
       const util::CounterId vecs = metrics->counter(base + ".paths_recorded");
@@ -269,8 +266,7 @@ int run() {
     std::vector<std::string> reference_keys;
     for (const int threads : {1, 2, 4, 8}) {
       sta::PathFinderOptions opt;
-      opt.justify_cache = sta::JustifyCacheMode::kOff;
-      opt.num_threads = threads;
+          opt.num_threads = threads;
       opt.metrics = metrics;
       sta::PathFinder finder(nl, cl, opt);
       std::vector<std::string> keys;
@@ -278,8 +274,7 @@ int run() {
       const sta::PathFinderStats stats = finder.run(
           [&](const sta::TruePath& p) { keys.push_back(p.full_key(nl)); });
       const double secs = watch.elapsed_seconds();
-      bench_json.add({prof.name, secs, stats.vector_trials, "off", "both",
-                      threads});
+      bench_json.add({prof.name, secs, stats.vector_trials, threads});
       if (metrics != nullptr) {
         const util::GaugeId scale = metrics->gauge(
             "table6.scaling.threads" + std::to_string(threads) + ".seconds");
@@ -299,147 +294,6 @@ int run() {
     std::cout << "(speedup needs that many hardware threads and >= 8 "
                  "reachable sources; delivered order is the sequential "
                  "order at every thread count)\n";
-  }
-
-  // Cross-thread justification memo cache: the same exhaustive enumeration
-  // at 8 threads, --justify-cache off vs shared, the latter at each
-  // refutation tier (implication-only / both / adaptive).
-  // The cache and the tier choice may only change how much work is done,
-  // never what is found: the delivered path list must be byte-identical
-  // (full keys, order included) at every tier and vector_trials must not
-  // increase.  Runs are budget-free so every side is exhaustive and
-  // deterministic; adaptive's *cost* counters are additionally
-  // timing-dependent at 8 threads (controller state), its results are not.
-  {
-    print_title(
-        "Justification memo cache (off vs shared x tier, 8 threads)");
-    const std::vector<int> cwidths{9, 12, 8, 8, 9, 8, 7, 8, 8, 8, 10};
-    print_row({"circuit", "mode", "cpu_s", "paths", "trials", "pruned",
-               "hit%", "impRef", "escal", "subset", "identical"},
-              cwidths);
-
-    struct CacheRun {
-      sta::PathFinderStats stats;
-      std::vector<std::string> keys;
-    };
-    const auto enumerate = [&](const netlist::Netlist& nl,
-                               sta::JustifyCacheMode mode,
-                               sta::JustifyTier tier) {
-      CacheRun run;
-      sta::PathFinderOptions opt;
-      opt.num_threads = 8;
-      opt.justify_cache = mode;
-      opt.justify_tier = tier;
-      sta::PathFinder finder(nl, cl, opt);
-      run.stats = finder.run(
-          [&](const sta::TruePath& p) { run.keys.push_back(p.full_key(nl)); });
-      return run;
-    };
-
-    std::vector<std::string> cache_circuits{"c17", "memo16"};
-    if (!fast_mode()) cache_circuits.push_back("c432");
-    for (const auto& name : cache_circuits) {
-      netlist::PrimNetlist prim;
-      if (name == "c17") {
-        prim = netlist::parse_bench_string(netlist::c17_bench_text(), "c17");
-      } else if (name == "memo16") {
-        netlist::GeneratorProfile prof;
-        prof.name = "memo16";
-        prof.num_inputs = 16;
-        prof.num_outputs = 8;
-        prof.num_gates = fast_mode() ? 80 : 140;
-        prof.depth = 8;
-        prof.seed = 42;
-        prim = netlist::generate_iscas_like(prof);
-      } else {
-        prim = netlist::generate_iscas_like(netlist::iscas_profile(name));
-      }
-      const auto mapped = netlist::tech_map(prim, library());
-      const netlist::Netlist& nl = mapped.netlist;
-
-      const CacheRun off = enumerate(nl, sta::JustifyCacheMode::kOff,
-                                     sta::JustifyTier::kBoth);
-      bench_json.add({name, off.stats.cpu_seconds, off.stats.vector_trials,
-                      "off", "both", 8});
-      print_row({name, "off", util::format_fixed(off.stats.cpu_seconds, 2),
-                 std::to_string(off.stats.paths_recorded),
-                 std::to_string(off.stats.vector_trials), "-", "-", "-", "-",
-                 "-", "-"},
-                cwidths);
-
-      const struct {
-        const char* label;
-        sta::JustifyTier tier;
-      } tiers[] = {{"implication", sta::JustifyTier::kImplication},
-                   {"both", sta::JustifyTier::kBoth},
-                   {"adaptive", sta::JustifyTier::kAdaptive}};
-      for (const auto& [tier_label, tier] : tiers) {
-        const CacheRun shared =
-            enumerate(nl, sta::JustifyCacheMode::kShared, tier);
-        bench_json.add({name, shared.stats.cpu_seconds,
-                        shared.stats.vector_trials, "shared", tier_label, 8});
-        const long probes =
-            shared.stats.cache_hits + shared.stats.cache_misses;
-        const double hit_rate =
-            probes == 0 ? 0.0
-                        : static_cast<double>(shared.stats.cache_hits) /
-                              static_cast<double>(probes);
-        const bool identical = shared.keys == off.keys;
-
-        if (metrics != nullptr) {
-          // Register every id before creating the shard: a shard ignores
-          // ids registered after it exists (see util/metrics.h).
-          const std::string base = "table6." + name + ".justify_cache." +
-                                   tier_label;
-          const util::CounterId hits = metrics->counter(base + ".hits");
-          const util::CounterId misses = metrics->counter(base + ".misses");
-          const util::CounterId prunes = metrics->counter(base + ".prunes");
-          const util::CounterId trials_off =
-              metrics->counter(base + ".trials_off");
-          const util::CounterId trials_shared =
-              metrics->counter(base + ".trials_shared");
-          const util::CounterId implication_refutes =
-              metrics->counter(base + ".implication_refutes");
-          const util::CounterId solver_escalations =
-              metrics->counter(base + ".solver_escalations");
-          const util::CounterId subset_hits =
-              metrics->counter(base + ".subset_hits");
-          const util::CounterId negative_hits =
-              metrics->counter(base + ".negative_hits");
-          const util::GaugeId rate = metrics->gauge(base + ".hit_rate");
-          const util::GaugeId seconds = metrics->gauge(base + ".seconds");
-          util::MetricsShard& shard = metrics->create_shard();
-          shard.add(hits, shared.stats.cache_hits);
-          shard.add(misses, shared.stats.cache_misses);
-          shard.add(prunes, shared.stats.cache_prunes);
-          shard.add(trials_off, off.stats.vector_trials);
-          shard.add(trials_shared, shared.stats.vector_trials);
-          shard.add(implication_refutes, shared.stats.implication_refutes);
-          shard.add(solver_escalations, shared.stats.solver_escalations);
-          shard.add(subset_hits, shared.stats.subset_hits);
-          shard.add(negative_hits, shared.stats.negative_hits);
-          shard.set(rate, hit_rate);
-          shard.set(seconds, shared.stats.cpu_seconds);
-        }
-
-        print_row({name, std::string("shared/") + tier_label,
-                   util::format_fixed(shared.stats.cpu_seconds, 2),
-                   std::to_string(shared.stats.paths_recorded),
-                   std::to_string(shared.stats.vector_trials),
-                   std::to_string(shared.stats.cache_prunes),
-                   util::format_percent(hit_rate, 1),
-                   std::to_string(shared.stats.implication_refutes),
-                   std::to_string(shared.stats.solver_escalations),
-                   std::to_string(shared.stats.subset_hits),
-                   identical ? "yes" : "NO (BUG)"},
-                  cwidths);
-      }
-    }
-    std::cout << "(shared-cache trials <= off trials by construction; the "
-                 "pruned column counts\nvector trials preempted by memoized "
-                 "CONFLICT verdicts.  impRef / escal split each miss by the\n"
-                 "tier that settled it; subset counts multi-component misses "
-                 "refuted by a memoized\ncomponent CONFLICT)\n";
   }
 
   // Flight-recorder overhead: the same exhaustive enumeration with the
@@ -515,10 +369,10 @@ int run() {
       const std::uint64_t events = on.events;
       const bool identical = on.keys == off.keys;
 
-      bench_json.add({name + "/recorder_off", off_s, off_stats.vector_trials,
-                      "shared", "both", 8});
-      bench_json.add({name + "/recorder_on", on_s, on_stats.vector_trials,
-                      "shared", "both", 8});
+      bench_json.add(
+          {name + "/recorder_off", off_s, off_stats.vector_trials, 8});
+      bench_json.add(
+          {name + "/recorder_on", on_s, on_stats.vector_trials, 8});
       if (metrics != nullptr) {
         const std::string base = "table6." + name + ".recorder";
         const util::GaugeId off_g = metrics->gauge(base + ".off_seconds");
@@ -565,8 +419,7 @@ int run() {
                               sta::ScheduleMode schedule, int threads,
                               SchedSide* side) {
       sta::PathFinderOptions opt;
-      opt.justify_cache = sta::JustifyCacheMode::kOff;
-      opt.schedule = schedule;
+          opt.schedule = schedule;
       opt.num_threads = threads;
       sta::PathFinder finder(nl, cl, opt);
       std::vector<std::string> keys;
@@ -625,9 +478,9 @@ int run() {
         const bool identical = source.keys == reference_keys &&
                                steal.keys == reference_keys;
         bench_json.add({sc.name + "/sched_source", source.best,
-                        source.stats.vector_trials, "off", "both", threads});
+                        source.stats.vector_trials, threads});
         bench_json.add({sc.name + "/sched_steal", steal.best,
-                        steal.stats.vector_trials, "off", "both", threads});
+                        steal.stats.vector_trials, threads});
         if (metrics != nullptr) {
           const std::string base = "table6." + sc.name + ".sched.threads" +
                                    std::to_string(threads);

@@ -133,17 +133,15 @@ const char* prim_op_name(PrimOp op) {
 }
 
 int PrimNetlist::add_signal(const std::string& signal_name) {
-  const int existing = find_signal(signal_name);
-  if (existing != kNoId) return existing;
-  signal_names.push_back(signal_name);
-  return static_cast<int>(signal_names.size()) - 1;
+  const auto [it, inserted] = signal_index_.try_emplace(
+      signal_name, static_cast<int>(signal_names.size()));
+  if (inserted) signal_names.push_back(signal_name);
+  return it->second;
 }
 
 int PrimNetlist::find_signal(const std::string& signal_name) const {
-  for (std::size_t i = 0; i < signal_names.size(); ++i) {
-    if (signal_names[i] == signal_name) return static_cast<int>(i);
-  }
-  return kNoId;
+  const auto it = signal_index_.find(signal_name);
+  return it == signal_index_.end() ? kNoId : it->second;
 }
 
 std::vector<int> PrimNetlist::fanout_counts() const {

@@ -132,6 +132,11 @@ struct PrimNetlist {
   std::vector<int> driver_index() const;
   /// Structural checks; throws util::Error on violation.
   void validate() const;
+
+ private:
+  /// signal_names inverted, kept by add_signal, so a lookup costs O(1) and
+  /// parsing stays linear in the netlist size.
+  std::unordered_map<std::string, int> signal_index_;
 };
 
 }  // namespace sasta::netlist

@@ -65,10 +65,6 @@ util::JsonValue stats_json(const sta::PathFinderStats& s) {
         util::JsonValue::number(s.multi_vector_courses));
   v.set("vector_trials", util::JsonValue::number(s.vector_trials));
   v.set("justify_limited", util::JsonValue::number(s.justify_limited));
-  v.set("cache_hits", util::JsonValue::number(s.cache_hits));
-  v.set("cache_misses", util::JsonValue::number(s.cache_misses));
-  v.set("cache_prunes", util::JsonValue::number(s.cache_prunes));
-  v.set("cache_inserts", util::JsonValue::number(s.cache_inserts));
   v.set("cpu_seconds", util::JsonValue::number(s.cpu_seconds));
   return v;
 }
@@ -487,9 +483,6 @@ void Server::dispatch(const Pending& item, bool draining) {
       eco_r.set("affected_instances",
                 util::JsonValue::number(
                     static_cast<long>(out.affected_instances)));
-      eco_r.set("cache_shards_invalidated",
-                util::JsonValue::number(
-                    static_cast<long>(out.cache_shards_invalidated)));
       eco_r.set("function_changed",
                 util::JsonValue::boolean(out.function_changed));
       r.set("eco", std::move(eco_r));

@@ -13,8 +13,7 @@
 // What stays warm across requests: characterized libraries (keyed on
 // technology + profile — the expensive artifact every batch invocation
 // re-loads), and per session the mapped netlist, the complete per-source
-// path/timing caches and the justification memo table (see
-// server/session.h).
+// path/timing caches (see server/session.h).
 //
 // Draining: a `shutdown` request, request_stop(), or SIGINT (the CLI's
 // cooperative interrupt flag, polled by the dispatcher between requests
@@ -47,8 +46,8 @@ struct ServerOptions {
   /// Filesystem path of the AF_UNIX socket.  Created on run(), unlinked
   /// on shutdown (a stale path from a crashed predecessor is replaced).
   std::string socket_path;
-  /// Per-session search/delay defaults (threads, budget, cache mode and
-  /// capacity, tier, lanes, schedule, flight recorder, ...).
+  /// Per-session search/delay defaults (threads, budget, schedule, flight
+  /// recorder, ...).
   Session::Config session_defaults;
   /// Characterization defaults for `load` requests that do not override.
   std::string tech = "90nm";

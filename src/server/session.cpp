@@ -14,16 +14,6 @@
 
 namespace sasta::server {
 
-namespace {
-
-sta::JustifyCache::Config cache_config(const Session::Config& cfg) {
-  sta::JustifyCache::Config cc;
-  cc.capacity = cfg.tool.finder.justify_cache_capacity;
-  return cc;
-}
-
-}  // namespace
-
 Session::Session(std::string circuit, netlist::Netlist nl,
                  std::shared_ptr<const charlib::CharLibrary> charlib,
                  const cell::Library* library, const tech::Technology* tech,
@@ -34,8 +24,7 @@ Session::Session(std::string circuit, netlist::Netlist nl,
       library_(library),
       tech_(tech),
       cfg_(std::move(cfg)),
-      delay_opt_(cfg_.tool.delay),
-      cache_(cache_config(cfg_)) {
+      delay_opt_(cfg_.tool.delay) {
   // Full per-source enumeration is the warm-cache contract (see header).
   cfg_.tool.finder.n_worst = -1;
   cfg_.tool.finder.max_paths = -1;
@@ -62,7 +51,6 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
       s.paths_valid = false;
       s.timed_valid = false;
     }
-    cache_.clear();
   }
   out.sources_total = sources_.size();
 
@@ -73,9 +61,6 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
   sta::SearchAttribution attribution;
   fopt.metrics = &metrics;
   fopt.attribution = &attribution;
-  if (fopt.justify_cache == sta::JustifyCacheMode::kShared) {
-    fopt.external_cache = &cache_;
-  }
 
   std::vector<std::size_t> dirty;
   for (std::size_t i = 0; i < sources_.size(); ++i) {
@@ -200,14 +185,6 @@ Session::EcoOutcome Session::apply_eco(const EcoRequest& req) {
       s.paths_valid = false;
       s.timed_valid = false;
     }
-    if (out.function_changed &&
-        cfg_.tool.finder.justify_cache == sta::JustifyCacheMode::kShared) {
-      // Only a logic change can stale a memo; the component mask is the
-      // conservative superset of every net a verdict about the swapped
-      // gate's logic could mention.
-      out.cache_shards_invalidated =
-          cache_.invalidate(sta::component_support_mask(nl_, touched));
-    }
     out.dirty_sources = impact.dirty_sources.size();
     out.affected_instances = impact.affected_instances;
   } else if (req.op == kEcoResizeCell) {
@@ -216,8 +193,8 @@ Session::EcoOutcome Session::apply_eco(const EcoRequest& req) {
     }
     nl_.set_drive_scale(target, req.scale);
     const sta::EcoImpact impact = sta::compute_eco_impact(nl_, touched);
-    // Logic is untouched: enumerations and memos all stay valid, only the
-    // dirty cones' timing moves.
+    // Logic is untouched: enumerations all stay valid, only the dirty
+    // cones' timing moves.
     for (const netlist::NetId src : impact.dirty_sources) {
       sources_[source_index_.at(src)].timed_valid = false;
     }

@@ -1,17 +1,16 @@
 // Serve-mode session: one loaded design held resident with warm caches.
 //
-// A session owns the mapped netlist, a borrowed characterized library, a
-// long-lived justification memo table, and a per-source result cache: the
-// complete true-path enumeration and its timing for every source PI.
+// A session owns the mapped netlist, a borrowed characterized library and
+// a per-source result cache: the complete true-path enumeration and its
+// timing for every source PI.
 // Against that state, a request is answered in three strictly separated
 // stages —
 //
 //   search   re-enumerate true paths, but only for *dirty* sources (cold
 //            start: all of them; warm repeat: none; after an ECO: the
 //            cones sta::compute_eco_impact dirties).  Runs the unchanged
-//            PathFinder (schedule/steal, cache, tiers) restricted
-//            via PathFinderOptions::source_filter, with the session's
-//            memo table lent through external_cache.
+//            PathFinder (either schedule) restricted via
+//            PathFinderOptions::source_filter.
 //   re-time  recompute TimedPaths for sources whose timing is stale
 //            (delay options or drive scales moved) from cached TruePaths.
 //   merge    replay every per-source buffer, in source-PI order, through
@@ -29,15 +28,12 @@
 //
 // ECO semantics (docs/SERVER.md):
 //   swap_gate        replace a cell, same pin count.  Dirty cones re-search
-//                    + re-time; when the logic function changed, memos
-//                    covering the touched component are evicted via the
-//                    scoped JustifyCache::invalidate.
+//                    + re-time.
 //   resize_cell      per-instance drive scale.  Logic is untouched, so NO
-//                    re-search and NO memo eviction — dirty cones only
-//                    re-time their cached paths.
+//                    re-search — dirty cones only re-time their cached
+//                    paths.
 //   retarget_corner  new temperature/vdd.  Every source re-times; nothing
-//                    is re-searched or evicted (the search never reads the
-//                    corner).
+//                    is re-searched (the search never reads the corner).
 #pragma once
 
 #include <cstddef>
@@ -49,7 +45,6 @@
 #include "cell/cell.h"
 #include "charlib/charlibrary.h"
 #include "netlist/netlist.h"
-#include "sta/justify_cache.h"
 #include "sta/sta_tool.h"
 #include "tech/technology.h"
 
@@ -112,7 +107,6 @@ class Session {
     AnalyzeOutcome analyze;
     std::size_t dirty_sources = 0;
     std::size_t affected_instances = 0;
-    std::size_t cache_shards_invalidated = 0;
     bool function_changed = false;  ///< swap_gate: logic actually moved
   };
 
@@ -132,7 +126,6 @@ class Session {
 
   const std::string& circuit() const { return circuit_; }
   const netlist::Netlist& netlist() const { return nl_; }
-  sta::JustifyCache& memo_cache() { return cache_; }
   std::size_t num_sources() const { return sources_.size(); }
 
  private:
@@ -151,7 +144,6 @@ class Session {
   const tech::Technology* tech_;
   Config cfg_;
   sta::DelayCalcOptions delay_opt_;  ///< live corner (retarget_corner moves it)
-  sta::JustifyCache cache_;
   std::vector<SourceState> sources_;  ///< reach-filtered PIs, in PI order
   std::unordered_map<netlist::NetId, std::size_t> source_index_;
   std::unordered_map<std::string, netlist::InstId> inst_by_name_;

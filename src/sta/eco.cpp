@@ -89,53 +89,4 @@ EcoImpact compute_eco_impact(const netlist::Netlist& nl,
   return impact;
 }
 
-std::uint64_t component_support_mask(const netlist::Netlist& nl,
-                                     std::span<const netlist::InstId> touched) {
-  // Undirected BFS alternating nets and instances; the component mask is
-  // the union of the folded bits of every reachable net.
-  std::vector<bool> net_seen(nl.num_nets(), false);
-  std::vector<bool> inst_seen(nl.num_instances(), false);
-  std::vector<netlist::InstId> inst_frontier;
-  std::vector<netlist::NetId> net_frontier;
-  for (netlist::InstId i : touched) {
-    SASTA_CHECK(i >= 0 && i < nl.num_instances()) << " instance " << i;
-    if (!inst_seen[i]) {
-      inst_seen[i] = true;
-      inst_frontier.push_back(i);
-    }
-  }
-  std::uint64_t mask = 0;
-  auto visit_net = [&](netlist::NetId n) {
-    if (net_seen[n]) return;
-    net_seen[n] = true;
-    net_frontier.push_back(n);
-    mask |= std::uint64_t{1} << (static_cast<std::uint64_t>(n) & 63);
-  };
-  while (!inst_frontier.empty() || !net_frontier.empty()) {
-    while (!inst_frontier.empty()) {
-      const netlist::InstId i = inst_frontier.back();
-      inst_frontier.pop_back();
-      const netlist::Instance& inst = nl.instance(i);
-      visit_net(inst.output);
-      for (netlist::NetId in : inst.inputs) visit_net(in);
-    }
-    while (!net_frontier.empty()) {
-      const netlist::NetId n = net_frontier.back();
-      net_frontier.pop_back();
-      const netlist::Net& net = nl.net(n);
-      if (net.driver != netlist::kNoId && !inst_seen[net.driver]) {
-        inst_seen[net.driver] = true;
-        inst_frontier.push_back(net.driver);
-      }
-      for (const netlist::Fanout& f : net.fanouts) {
-        if (!inst_seen[f.inst]) {
-          inst_seen[f.inst] = true;
-          inst_frontier.push_back(f.inst);
-        }
-      }
-    }
-  }
-  return mask;
-}
-
 }  // namespace sasta::sta

@@ -51,7 +51,6 @@
 // clean for both the true-path sets and their timing.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -79,18 +78,5 @@ struct EcoImpact {
 EcoImpact compute_eco_impact(const netlist::Netlist& nl,
                              std::span<const netlist::InstId> touched,
                              bool include_load_coupling = true);
-
-/// 64-bit folded net mask (bit `net % 64`, matching GoalSetKey::support)
-/// of every net in the undirected connected component(s) containing
-/// `touched` — the conservative superset handed to
-/// JustifyCache::invalidate after a function-changing swap.  Any cached
-/// verdict whose goal conjunction could mention a net that the swap's
-/// logic change can influence (in either direction: implications flow
-/// both ways through justification) lives in this component, so bumping
-/// exactly the shards whose support union intersects this mask evicts
-/// every possibly-stale memo while sparing shards populated only by
-/// disconnected logic.
-std::uint64_t component_support_mask(const netlist::Netlist& nl,
-                                     std::span<const netlist::InstId> touched);
 
 }  // namespace sasta::sta

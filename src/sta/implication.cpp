@@ -79,15 +79,6 @@ ImplicationEngine::Result ImplicationEngine::assign_steady(netlist::NetId n,
   return res;
 }
 
-unsigned ImplicationEngine::assign_steady_goals(std::span<const Goal> goals,
-                                                unsigned alive) {
-  for (const Goal& g : goals) {
-    if (alive == kScenarioNone) break;
-    alive &= ~assign_steady(g.net, g.value).conflict;
-  }
-  return alive;
-}
-
 ImplicationEngine::Result ImplicationEngine::assign_dual(netlist::NetId n,
                                                          const NineVal& vr,
                                                          const NineVal& vf) {

@@ -7,23 +7,15 @@
 // early-conflict-detection step: it is cheaper than justification and
 // surfaces semi-undetermined values (X0/X1) that expose incompatibilities
 // before all implied nodes are set.
-//
-// Besides feeding the goal solver, the engine doubles as the memo cache's
-// tier-1 refuter (assign_steady_goals): propagating a whole goal
-// conjunction to its fixpoint costs O(cone) with zero backtracking, and a
-// closure conflict is already a complete refutation — implication derives
-// only logical consequences of the asserted values, so a contradiction
-// means no primary-input assignment satisfies the conjunction.
 #pragma once
 
-#include <span>
 
 #include "sta/assignment.h"
 
 namespace sasta::sta {
 
-/// One steady-line requirement (shared by the implication-closure refuter
-/// and the backtracking goal solver in justify.h).
+/// One steady-line requirement (a goal of the backtracking solver in
+/// justify.h).
 struct Goal {
   netlist::NetId net = netlist::kNoId;
   bool value = false;
@@ -46,15 +38,6 @@ class ImplicationEngine {
 
   /// Refines net `n` with a steady value and propagates.
   Result assign_steady(netlist::NetId n, bool value);
-
-  /// Asserts a whole conjunction of steady goals, propagating each to the
-  /// closure fixpoint, and returns the scenarios of `alive` that survive
-  /// without contradiction.  Stops early once every scenario has
-  /// conflicted.  This is the tiered refuter's implication-only tier:
-  /// kScenarioNone means the conjunction is exhaustively refuted (no
-  /// backtracking was needed); anything else is merely "not refuted by
-  /// closure" — it never certifies satisfiability.
-  unsigned assign_steady_goals(std::span<const Goal> goals, unsigned alive);
 
   /// Refines net `n` with explicit per-scenario values and propagates
   /// (used to launch the path transition at a primary input).

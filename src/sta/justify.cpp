@@ -8,62 +8,6 @@
 
 namespace sasta::sta {
 
-std::vector<std::vector<Goal>> partition_support_disjoint(
-    std::span<const Goal> goals,
-    const std::vector<std::vector<std::uint64_t>>& supports,
-    int excluded_bit) {
-  // Canonical order first, so the partition — component order and the goal
-  // order within each component — depends only on the goal *set*.  The
-  // memo cache relies on this: a component's solve order, and therefore
-  // its verdict even under a backtrack budget, must be identical no matter
-  // which caller's goal ordering reached the same canonical key.
-  std::vector<Goal> sorted(goals.begin(), goals.end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Goal& a, const Goal& b) {
-                     return a.net != b.net ? a.net < b.net : a.value < b.value;
-                   });
-  const std::size_t n = sorted.size();
-  std::vector<int> parent(n);
-  for (std::size_t i = 0; i < n; ++i) parent[i] = static_cast<int>(i);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  auto overlap = [&](netlist::NetId a, netlist::NetId b) {
-    const auto& sa = supports[a];
-    const auto& sb = supports[b];
-    for (std::size_t w = 0; w < sa.size(); ++w) {
-      std::uint64_t inter = sa[w] & sb[w];
-      if (excluded_bit >= 0 &&
-          static_cast<std::size_t>(excluded_bit / 64) == w) {
-        inter &= ~(std::uint64_t{1} << (excluded_bit % 64));
-      }
-      if (inter) return true;
-    }
-    return false;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (find(static_cast<int>(i)) != find(static_cast<int>(j)) &&
-          overlap(sorted[i].net, sorted[j].net)) {
-        parent[find(static_cast<int>(i))] = find(static_cast<int>(j));
-      }
-    }
-  }
-  // Emit components in order of their smallest (canonically first) member.
-  std::vector<std::vector<Goal>> components;
-  std::vector<int> component_of(n, -1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int root = find(static_cast<int>(i));
-    if (component_of[root] < 0) {
-      component_of[root] = static_cast<int>(components.size());
-      components.emplace_back();
-    }
-    components[component_of[root]].push_back(sorted[i]);
-  }
-  return components;
-}
-
 Justifier::Result Justifier::justify_all(std::span<const Goal> goals,
                                          unsigned alive,
                                          int backtrack_budget) {

@@ -29,26 +29,12 @@
 
 namespace sasta::sta {
 
-// struct Goal lives in implication.h (shared with the closure refuter).
+// struct Goal lives in implication.h.
 
 /// Flight-recorder threshold: a justify_all call that consumes at least
 /// this many backtracks is logged as a kBacktrackBurst event — the solver
 /// calls worth seeing in a post-mortem timeline.
 inline constexpr long kBacktrackBurstThreshold = 128;
-
-/// Partitions `goals` into support-disjoint components: goals whose cones
-/// share no free primary input cannot interact, so each component is an
-/// independent satisfiability problem.  `excluded_bit` removes one PI (a
-/// fixed transition source) from the overlap test; -1 excludes nothing.
-/// Deterministic: goals are ordered canonically (by net, then value)
-/// before the union-find, components are emitted in order of their
-/// smallest member, and each component's goals come out sorted — so the
-/// output is a pure function of the goal *set*, independent of input
-/// order and duplicates (duplicates stay within their component).
-std::vector<std::vector<Goal>> partition_support_disjoint(
-    std::span<const Goal> goals,
-    const std::vector<std::vector<std::uint64_t>>& supports,
-    int excluded_bit = -1);
 
 class Justifier {
  public:

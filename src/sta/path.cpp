@@ -11,18 +11,6 @@ PathFinderStats& PathFinderStats::operator+=(const PathFinderStats& other) {
   backtracks += other.backtracks;
   vector_trials += other.vector_trials;
   justify_limited += other.justify_limited;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_prunes += other.cache_prunes;
-  cache_inserts += other.cache_inserts;
-  cache_insert_races += other.cache_insert_races;
-  cache_full_drops += other.cache_full_drops;
-  implication_refutes += other.implication_refutes;
-  solver_escalations += other.solver_escalations;
-  subset_hits += other.subset_hits;
-  negative_hits += other.negative_hits;
-  escalation_refutes += other.escalation_refutes;
-  escalations_vetoed += other.escalations_vetoed;
   tasks_spawned += other.tasks_spawned;
   tasks_stolen += other.tasks_stolen;
   steal_failures += other.steal_failures;

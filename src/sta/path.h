@@ -55,40 +55,6 @@ struct PathFinderStats {
   long vector_trials = 0;         ///< sensitization vectors attempted
   long justify_limited = 0;       ///< solves dropped at the backtrack budget
 
-  // Justification memo cache (zero when PathFinderOptions::justify_cache
-  // is kOff).  cache_prunes counts vector trials skipped outright because
-  // the trial's goal conjunction is known infeasible from a fresh state
-  // (pruned trials are skipped before being counted).  Pruning can only
-  // shrink the trial count: vector_trials + cache_prunes <= the uncached
-  // run's vector_trials, with strict inequality when a pruned trial's
-  // subtree would itself have attempted further trials.
-  long cache_hits = 0;          ///< probes answered from the table
-  long cache_misses = 0;        ///< probes that fell back to a fresh refute
-  long cache_prunes = 0;        ///< vector trials skipped via CONFLICT
-  long cache_inserts = 0;       ///< verdicts published to the table
-  long cache_insert_races = 0;  ///< inserts that lost to a concurrent twin
-  long cache_full_drops = 0;    ///< verdicts dropped on a full probe window
-
-  // Tiered refutation (see PathFinderOptions::justify_tier).  Misses are
-  // resolved per support-disjoint component: the implication-closure tier
-  // first (zero backtracking), the budgeted solver only on escalation.
-  long implication_refutes = 0;  ///< component misses refuted by closure
-                                 ///< alone — no solver involved
-  long solver_escalations = 0;   ///< component misses that ran the full
-                                 ///< budgeted backtracking solver
-  long subset_hits = 0;          ///< multi-component miss refuted by an
-                                 ///< already-cached component CONFLICT —
-                                 ///< the learned subset spared the solve
-  long negative_hits = 0;        ///< probe hits on a negative memo
-                                 ///< (kBudgetLimited / kInconclusive):
-                                 ///< repeat misses that skipped re-solving
-  long escalation_refutes = 0;   ///< solver escalations that returned
-                                 ///< CONFLICT — the numerator of the
-                                 ///< refutes-per-escalation payoff ratio
-  long escalations_vetoed = 0;   ///< kAdaptive only: escalation candidates
-                                 ///< the payoff controller denied (memoized
-                                 ///< kInconclusive instead of solved)
-
   // Work-stealing scheduler (zero when PathFinderOptions::schedule is
   // kSource).  Stealing redistributes who executes which frontier task but
   // never what is searched, so every result-bearing counter above is
@@ -102,6 +68,16 @@ struct PathFinderStats {
   bool truncated = false;         ///< a limit fired before exhaustion
 
   PathFinderStats& operator+=(const PathFinderStats& other);
+
+  // --- perfbench/probe.cpp compatibility (always 0) ----------------------
+  // Counters of removed search modes that the frozen benchmark probe still
+  // prints.  Nothing sets, merges or reports them; drop them together with
+  // the probe's reads in a benchmark change.
+  long cache_hits = 0;
+  long cache_misses = 0;
+  long cache_prunes = 0;
+  long solver_escalations = 0;
+  long escalation_refutes = 0;
 };
 
 /// A path with its computed timing.

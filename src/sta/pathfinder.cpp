@@ -24,29 +24,12 @@ struct PathFinder::Worker {
         state(owner.nl_.num_nets()),
         engine(owner.nl_, state),
         justifier(owner.nl_, state, engine,
-                  owner.opt_.use_scoap_guide ? &owner.guide_ : nullptr) {
-    if (owner.opt_.justify_cache == JustifyCacheMode::kOff) return;
-    cache = owner.active_shared_cache();
-    // Scratch solver for fresh-state memo solves: same netlist, guide and
-    // budget as the search solver, but its own assignment state so a memo
-    // solve never perturbs the DFS trail.  No excluded support bit — the
-    // fresh-state question has no launching source, which is exactly what
-    // makes its verdicts shareable across sources and threads.
-    memo_state = std::make_unique<AssignmentState>(owner.nl_.num_nets());
-    memo_engine = std::make_unique<ImplicationEngine>(owner.nl_, *memo_state);
-    memo_justifier = std::make_unique<Justifier>(
-        owner.nl_, *memo_state, *memo_engine,
-        owner.opt_.use_scoap_guide ? &owner.guide_ : nullptr);
-    memo_justifier->set_supports(&owner.supports_, -1);
-  }
+                  owner.opt_.use_scoap_guide ? &owner.guide_ : nullptr) {}
 
   /// Lazily arms the per-gate attribution tallies (no-op when the caller
   /// did not request attribution, so the hot path stays a .empty() test).
   void arm_attribution(std::size_t num_instances) {
     gate_trials.assign(num_instances, 0);
-    gate_prunes.assign(num_instances, 0);
-    gate_escalations.assign(num_instances, 0);
-    gate_escalation_backtracks.assign(num_instances, 0);
   }
 
   PathFinder& pf;
@@ -77,75 +60,19 @@ struct PathFinder::Worker {
   util::FlightLane* rec = nullptr;
   int tid = 0;
 
-  /// Justification memo cache (null = kOff): the shared table this worker
-  /// probes, plus the scratch solver context for fresh-state verdict
-  /// computation and reusable goal buffers for key building.
-  JustifyCache* cache = nullptr;
-  std::unique_ptr<AssignmentState> memo_state;
-  std::unique_ptr<ImplicationEngine> memo_engine;
-  std::unique_ptr<Justifier> memo_justifier;
-  std::vector<Goal> trial_goals;
-  std::vector<Goal> acc_goals;
-  std::vector<std::uint64_t> key_scratch;
-
   /// Search-cost attribution scratch (empty unless the run requested
-  /// attribution): per-instance tallies of trials, prunes and solver
-  /// escalations, merged into the caller's SearchAttribution after the
-  /// join.  attrib_inst names the gate currently being charged for
-  /// memo-cache work (the one whose trial raised the miss).
+  /// attribution): per-instance trial tallies, merged into the caller's
+  /// SearchAttribution after the join.
   std::vector<long> gate_trials;
-  std::vector<long> gate_prunes;
-  std::vector<long> gate_escalations;
-  std::vector<long> gate_escalation_backtracks;
-  netlist::InstId attrib_inst = netlist::kNoId;
 };
-
-/// Accumulated-prefix conjunctions above this size are not memoized (the
-/// per-gate side-set check still applies).  Deep prefixes recur rarely and
-/// their fresh solves are the costly ones; the earliest — and therefore
-/// smallest — infeasible prefix is the one that prunes anyway.
-constexpr std::size_t kMaxCachedGoalSet = 64;
-
-namespace {
-
-/// Publishes a freshly computed verdict and counts the insert's outcome.
-void publish_verdict(JustifyCache& cache, const GoalSetKey& key,
-                     JustifyVerdict v, PathFinderStats& stats) {
-  switch (cache.insert(key, v)) {
-    case JustifyCache::InsertOutcome::kInserted:
-      ++stats.cache_inserts;
-      break;
-    case JustifyCache::InsertOutcome::kRaced:
-      ++stats.cache_insert_races;
-      break;
-    case JustifyCache::InsertOutcome::kFull:
-      ++stats.cache_full_drops;
-      break;
-  }
-}
-
-}  // namespace
 
 PathFinder::PathFinder(const netlist::Netlist& nl,
                        const charlib::CharLibrary& charlib,
                        const PathFinderOptions& options)
     : nl_(nl), charlib_(charlib), opt_(options) {
   util::TraceSpan span(opt_.trace, "pathfinder/prepare", 0);
-  SASTA_CHECK(opt_.trial_lanes == 1)
-      << " trial_lanes " << opt_.trial_lanes << " (only 1 is supported)";
   guide_ = netlist::compute_controllability(nl);
   reach_ = netlist::reaches_output(nl);
-  if (opt_.justify_cache == JustifyCacheMode::kShared &&
-      opt_.external_cache == nullptr) {
-    JustifyCache::Config cfg;
-    cfg.capacity = opt_.justify_cache_capacity;
-    shared_cache_ = std::make_unique<JustifyCache>(cfg);
-  }
-  if (opt_.justify_tier == JustifyTier::kAdaptive) {
-    EscalationController::Config cc;
-    cc.payoff_threshold = opt_.escalation_payoff;
-    controller_ = std::make_unique<EscalationController>(cc);
-  }
 
   // Primary-input support bitsets per net, for the justifier's
   // support-disjoint goal partitioning.
@@ -226,11 +153,7 @@ void PathFinder::attach_recorder(Worker& w) {
     return;
   }
   w.rec = &opt_.flight->lane(static_cast<unsigned>(w.tid));
-  // Burst events come from whichever justifier is doing the heavy solves:
-  // the in-context search solver and (cache on) the fresh-state memo
-  // solver both report into this worker's lane.
   w.justifier.set_recorder(w.rec);
-  if (w.memo_justifier != nullptr) w.memo_justifier->set_recorder(w.rec);
 }
 
 bool PathFinder::deadline_hit(Worker& w) {
@@ -336,214 +259,6 @@ void PathFinder::record(Worker& w, netlist::NetId sink_net, unsigned alive) {
   }
 }
 
-JustifyVerdict PathFinder::refute_component(Worker& w,
-                                            std::span<const Goal> goals) {
-  // Tier 1 — implication closure: assert the conjunction on the scratch
-  // state and propagate to the fixpoint.  Zero backtracking, O(cone), and
-  // a closure contradiction is already a complete refutation (implication
-  // derives only consequences), so most infeasible conjunctions never
-  // reach the solver at all.
-  w.memo_state->reset();
-  if (w.memo_engine->assign_steady_goals(goals, kScenarioBoth) ==
-      kScenarioNone) {
-    ++w.stats.implication_refutes;
-    return JustifyVerdict::kConflict;
-  }
-  if (opt_.justify_tier == JustifyTier::kImplication) {
-    // Closure-only tier: negatively memoize "could not refute" so repeat
-    // misses on this conjunction skip even the closure pass.
-    return JustifyVerdict::kInconclusive;
-  }
-
-  // Adaptive gate: consult the payoff controller before paying for the
-  // solver.  A vetoed candidate gets the closure-only tier's verdict —
-  // negatively memoized, so this conjunction never re-escalates (the same
-  // permanence kImplication accepts for every miss).  Soundness is
-  // untouched: no verdict is invented, only the solver's effort withheld.
-  if (controller_ != nullptr && !controller_->should_escalate()) {
-    controller_->record_veto();
-    ++w.stats.escalations_vetoed;
-    if (w.rec != nullptr) {
-      w.rec->record(util::FlightEventKind::kEscalationVeto, 0,
-                    static_cast<std::uint32_t>(w.attrib_inst), 0);
-    }
-    return JustifyVerdict::kInconclusive;
-  }
-
-  // Tier 2 — the budgeted backtracking solver, run directly on the
-  // closure-propagated state (no re-reset: the closure derived only
-  // consequences the solver's own assign_steady calls would re-derive, so
-  // escalation costs one solve, not closure + solve).  The state is still
-  // a pure function of the canonical goal sequence, so verdicts stay
-  // deterministic across threads, cache modes and call sites.  One span
-  // per escalation (not per probe or closure pass): escalations are where
-  // the miss time goes, and each unique conjunction escalates at most once
-  // per table.
-  ++w.stats.solver_escalations;
-  util::TraceSpan span(
-      opt_.trace,
-      opt_.trace != nullptr ? "justify_cache/solve" : std::string(),
-      w.tid + 1);
-  const int budget = opt_.justify_cache_budget >= 0
-                         ? opt_.justify_cache_budget
-                         : opt_.justify_backtrack_budget;
-  const Justifier::Result r = w.memo_justifier->justify_all(
-      goals, kScenarioBoth, budget);
-  if (!w.gate_escalations.empty() && w.attrib_inst != netlist::kNoId) {
-    ++w.gate_escalations[w.attrib_inst];
-    w.gate_escalation_backtracks[w.attrib_inst] += r.backtracks_used;
-  }
-  const JustifyVerdict v =
-      r.alive != kScenarioNone
-          ? JustifyVerdict::kJustifiable
-          : (r.backtrack_limited ? JustifyVerdict::kBudgetLimited
-                                 : JustifyVerdict::kConflict);
-  if (v == JustifyVerdict::kConflict) ++w.stats.escalation_refutes;
-  if (controller_ != nullptr) {
-    controller_->record_outcome(v == JustifyVerdict::kConflict);
-  }
-  if (w.rec != nullptr) {
-    w.rec->record(util::FlightEventKind::kEscalation,
-                  static_cast<std::uint16_t>(v),
-                  static_cast<std::uint32_t>(w.attrib_inst),
-                  static_cast<std::uint32_t>(r.backtracks_used));
-  }
-  return v;
-}
-
-JustifyVerdict PathFinder::component_verdict(Worker& w,
-                                             std::span<const Goal> goals,
-                                             bool& was_hit) {
-  const GoalSetKey key = canonicalize_goals(goals, w.key_scratch);
-  JustifyVerdict v = w.cache->probe(key);
-  if (v != JustifyVerdict::kUnknown) {
-    was_hit = true;
-    ++w.stats.cache_hits;
-    if (v == JustifyVerdict::kBudgetLimited ||
-        v == JustifyVerdict::kInconclusive) {
-      ++w.stats.negative_hits;
-    }
-    if (w.rec != nullptr) {
-      w.rec->record(util::FlightEventKind::kCacheHit,
-                    static_cast<std::uint16_t>(v),
-                    static_cast<std::uint32_t>(w.attrib_inst),
-                    static_cast<std::uint32_t>(goals.size()));
-    }
-    return v;
-  }
-  was_hit = false;
-  ++w.stats.cache_misses;
-  v = refute_component(w, goals);
-  publish_verdict(*w.cache, key, v, w.stats);
-  return v;
-}
-
-JustifyVerdict PathFinder::cached_verdict(Worker& w, const GoalSetKey& key,
-                                          std::span<const Goal> goals) {
-  JustifyVerdict v = w.cache->probe(key);
-  if (v != JustifyVerdict::kUnknown) {
-    ++w.stats.cache_hits;
-    if (v == JustifyVerdict::kBudgetLimited ||
-        v == JustifyVerdict::kInconclusive) {
-      ++w.stats.negative_hits;
-    }
-    if (w.rec != nullptr) {
-      w.rec->record(util::FlightEventKind::kCacheHit,
-                    static_cast<std::uint16_t>(v),
-                    static_cast<std::uint32_t>(w.attrib_inst),
-                    static_cast<std::uint32_t>(goals.size()));
-    }
-    return v;
-  }
-  ++w.stats.cache_misses;
-
-  if (goals.size() < 2) {
-    // A single goal is its own component: skip the partition allocation.
-    v = refute_component(w, goals);
-    publish_verdict(*w.cache, key, v, w.stats);
-    return v;
-  }
-
-  // Resolve the miss support-disjoint component by component.  Components
-  // cannot interact, so one component's CONFLICT refutes the whole
-  // conjunction, per-component budgets match what justify_all would grant,
-  // and a joint witness exists iff every component has one.  Caching each
-  // component under its own key is the conflict-subset learning: a refuted
-  // component re-refutes every future superset by a probe, and — unlike
-  // learning from a whole-set solve — keeps the verdict a pure function of
-  // the goal set (the partition is canonical, so neither caller goal order
-  // nor cache warm-up can change any verdict, which is what keeps
-  // vector_trials deterministic across threads and cache modes).
-  const std::vector<std::vector<Goal>> components =
-      partition_support_disjoint(goals, supports_, -1);
-  if (components.size() == 1) {
-    v = refute_component(w, components.front());
-  } else {
-    v = JustifyVerdict::kJustifiable;
-    for (const std::vector<Goal>& component : components) {
-      bool sub_hit = false;
-      const JustifyVerdict sub = component_verdict(w, component, sub_hit);
-      if (sub == JustifyVerdict::kConflict) {
-        if (sub_hit) ++w.stats.subset_hits;
-        v = JustifyVerdict::kConflict;
-        break;  // deterministic: components come in canonical order
-      }
-      // No conflict anywhere: the weakest component verdict stands (a
-      // budget-limited or inconclusive part leaves the whole set unproven
-      // either way; none of these verdicts ever authorizes a prune).
-      if (sub == JustifyVerdict::kBudgetLimited ||
-          (sub == JustifyVerdict::kInconclusive &&
-           v == JustifyVerdict::kJustifiable)) {
-        v = sub;
-      }
-    }
-  }
-  publish_verdict(*w.cache, key, v, w.stats);
-  return v;
-}
-
-bool PathFinder::trial_cached_infeasible(
-    Worker& w, const netlist::Instance& inst, int pin,
-    const charlib::SensitizationVector& vec) {
-  w.trial_goals.clear();
-  for (int q = 0; q < inst.cell->num_inputs(); ++q) {
-    if (q == pin) continue;
-    w.trial_goals.push_back({inst.inputs[q], vec.side_value(q)});
-  }
-  if (w.trial_goals.empty()) return false;
-
-  // Per-gate check: this vector's side-value conjunction on its own.  The
-  // same conjunction recurs from every source and prefix that traverses
-  // this (gate, pin, vector), so after warm-up nearly every probe hits and
-  // the check costs a hash plus a handful of atomic loads.
-  const GoalSetKey gate_key = canonicalize_goals(w.trial_goals, w.key_scratch);
-  if (gate_key.contradictory) return true;  // same net at 0 and 1
-  if (cached_verdict(w, gate_key, w.trial_goals) ==
-      JustifyVerdict::kConflict) {
-    return true;
-  }
-
-  // Joint prefix check: the accumulated side goals of the whole DFS prefix
-  // plus this gate's.  The uncached search rejects such a trial too — but
-  // through an in-context solve under the full backtrack budget, paid
-  // again by every source that reaches the same doomed conjunction.  Here
-  // the refutation is paid once (under the smaller memo budget) and every
-  // later encounter — any source, any thread — prunes on a probe hit.
-  if (w.goal_stack.empty()) return false;  // identical to gate_key
-  if (w.goal_stack.size() + w.trial_goals.size() > kMaxCachedGoalSet) {
-    return false;
-  }
-  w.acc_goals.assign(w.goal_stack.begin(), w.goal_stack.end());
-  w.acc_goals.insert(w.acc_goals.end(), w.trial_goals.begin(),
-                     w.trial_goals.end());
-  const GoalSetKey acc_key = canonicalize_goals(w.acc_goals, w.key_scratch);
-  // A contradiction against the prefix conflicts on assignment in every
-  // scenario; an uncached run records nothing from this trial either.
-  if (acc_key.contradictory) return true;
-  if (acc_key == gate_key) return false;  // prefix goals were duplicates
-  return cached_verdict(w, acc_key, w.acc_goals) == JustifyVerdict::kConflict;
-}
-
 void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
   if (stop_.load(std::memory_order_relaxed)) return;
   if (w.stats.vector_trials % 64 == 0) {
@@ -577,30 +292,11 @@ void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
       }
       if (cand_index < cand_begin) continue;
       if (stop_.load(std::memory_order_relaxed)) return;
-      // Memo-cache gate (before the trial is counted, so vector_trials
-      // reflects trials actually attempted): a fresh-state CONFLICT on the
-      // side-value conjunction means no source, prefix or direction can
-      // ever complete this trial — the whole subtree is skipped.
-      w.attrib_inst = f.inst;  // escalations below charge to this gate
-      if (w.rec != nullptr) {
-        w.rec->set_gate(static_cast<std::uint32_t>(f.inst),
-                        static_cast<std::uint32_t>(w.steps.size()));
-      }
-      if (w.cache != nullptr && inst.cell->num_inputs() > 1 &&
-          trial_cached_infeasible(w, inst, f.pin, vec)) {
-        ++w.stats.cache_prunes;
-        if (!w.gate_prunes.empty()) ++w.gate_prunes[f.inst];
-        if (w.rec != nullptr) {
-          w.rec->record(util::FlightEventKind::kCachePrune,
-                        static_cast<std::uint16_t>(f.pin),
-                        static_cast<std::uint32_t>(f.inst),
-                        static_cast<std::uint32_t>(vec.id));
-        }
-        continue;
-      }
       ++w.stats.vector_trials;
       if (!w.gate_trials.empty()) ++w.gate_trials[f.inst];
       if (w.rec != nullptr) {
+        w.rec->set_gate(static_cast<std::uint32_t>(f.inst),
+                        static_cast<std::uint32_t>(w.steps.size()));
         w.rec->count_trial();
         w.rec->record(util::FlightEventKind::kTrial,
                       static_cast<std::uint16_t>(f.pin),
@@ -1274,26 +970,19 @@ PathFinderStats PathFinder::run(
   // tallies are worker-private vectors folded in here (integer sums, so
   // the fold order cannot change the result).
   const bool attribution_on = opt_.attribution != nullptr;
-  std::vector<long> gate_trials, gate_prunes, gate_escalations,
-      gate_escalation_backtracks;
+  std::vector<long> gate_trials;
   std::mutex gate_merge_mu;
   if (attribution_on) {
     *opt_.attribution = SearchAttribution{};
     opt_.attribution->sources.assign(sources.size(),
                                      SearchAttribution::SourceCost{});
     gate_trials.assign(nl_.num_instances(), 0);
-    gate_prunes.assign(nl_.num_instances(), 0);
-    gate_escalations.assign(nl_.num_instances(), 0);
-    gate_escalation_backtracks.assign(nl_.num_instances(), 0);
   }
   const auto fold_gate_tallies = [&](const Worker& w) {
     if (!attribution_on) return;
     std::lock_guard<std::mutex> lk(gate_merge_mu);
     for (std::size_t i = 0; i < gate_trials.size(); ++i) {
       gate_trials[i] += w.gate_trials[i];
-      gate_prunes[i] += w.gate_prunes[i];
-      gate_escalations[i] += w.gate_escalations[i];
-      gate_escalation_backtracks[i] += w.gate_escalation_backtracks[i];
     }
   };
 
@@ -1355,20 +1044,9 @@ PathFinderStats PathFinder::run(
   total.cpu_seconds = watch.elapsed_seconds();
   if (attribution_on) {
     for (std::size_t i = 0; i < gate_trials.size(); ++i) {
-      if (gate_trials[i] == 0 && gate_prunes[i] == 0 &&
-          gate_escalations[i] == 0) {
-        continue;
-      }
+      if (gate_trials[i] == 0) continue;
       opt_.attribution->gates.push_back(
-          {static_cast<netlist::InstId>(i), gate_trials[i], gate_prunes[i],
-           gate_escalations[i], gate_escalation_backtracks[i]});
-    }
-    if (active_shared_cache() != nullptr) {
-      opt_.attribution->cache_shards = active_shared_cache()->shard_occupancy();
-    }
-    if (controller_ != nullptr) {
-      opt_.attribution->controller_active = true;
-      opt_.attribution->controller = controller_->snapshot();
+          {static_cast<netlist::InstId>(i), gate_trials[i]});
     }
   }
   if (opt_.metrics != nullptr) {
@@ -1379,8 +1057,8 @@ PathFinderStats PathFinder::run(
     const util::CounterId workers =
         opt_.metrics->counter("pathfinder.workers");
     // Steal-scheduler counters exist exactly when the knob selects kSteal
-    // (zero at 1 worker, where the sequential path runs), like the cache
-    // block below: the key set stays a pure function of the options.
+    // (zero at 1 worker, where the sequential path runs): the key set stays
+    // a pure function of the options.
     const bool steal_on = opt_.schedule == ScheduleMode::kSteal;
     util::CounterId tasks_spawned_id{};
     util::CounterId tasks_stolen_id{};
@@ -1390,51 +1068,6 @@ PathFinderStats PathFinder::run(
       tasks_stolen_id = opt_.metrics->counter("pathfinder.tasks_stolen");
       steal_failures_id = opt_.metrics->counter("pathfinder.steal_failures");
     }
-    // Cache counters are registered (and emitted, even when zero) whenever
-    // the cache is on, keeping the JSON key set a function of the options
-    // alone.  All ids are registered before the shard is created.
-    struct CacheMetricIds {
-      util::CounterId hits, misses, prunes, inserts, insert_races, full_drops;
-      util::CounterId implication_refutes, solver_escalations, subset_hits,
-          negative_hits, escalation_refutes, escalations_vetoed;
-    };
-    CacheMetricIds cache_ids{};
-    const bool cache_on = opt_.justify_cache != JustifyCacheMode::kOff;
-    if (cache_on) {
-      cache_ids = {
-          opt_.metrics->counter("pathfinder.justify_cache.hits"),
-          opt_.metrics->counter("pathfinder.justify_cache.misses"),
-          opt_.metrics->counter("pathfinder.justify_cache.prunes"),
-          opt_.metrics->counter("pathfinder.justify_cache.inserts"),
-          opt_.metrics->counter("pathfinder.justify_cache.insert_races"),
-          opt_.metrics->counter("pathfinder.justify_cache.full_drops"),
-          opt_.metrics->counter(
-              "pathfinder.justify_cache.implication_refutes"),
-          opt_.metrics->counter(
-              "pathfinder.justify_cache.solver_escalations"),
-          opt_.metrics->counter("pathfinder.justify_cache.subset_hits"),
-          opt_.metrics->counter("pathfinder.justify_cache.negative_hits"),
-          opt_.metrics->counter(
-              "pathfinder.justify_cache.escalation_refutes"),
-          opt_.metrics->counter(
-              "pathfinder.justify_cache.escalations_vetoed")};
-    }
-    // Controller state is exported whenever the adaptive tier is active,
-    // mirroring the EscalationController::Snapshot the run report carries.
-    struct ControllerMetricIds {
-      util::GaugeId payoff, enabled;
-      util::CounterId windows, disables;
-    };
-    ControllerMetricIds ctrl_ids{};
-    if (controller_ != nullptr) {
-      ctrl_ids = {
-          opt_.metrics->gauge("pathfinder.justify_cache.escalation_payoff"),
-          opt_.metrics->gauge("pathfinder.justify_cache.controller_enabled"),
-          opt_.metrics->counter(
-              "pathfinder.justify_cache.controller_windows"),
-          opt_.metrics->counter(
-              "pathfinder.justify_cache.controller_disables")};
-    }
     util::MetricsShard& shard = opt_.metrics->create_shard();
     shard.add(run_seconds, total.cpu_seconds);
     shard.add(sources_total, static_cast<long>(sources.size()));
@@ -1443,27 +1076,6 @@ PathFinderStats PathFinder::run(
       shard.add(tasks_spawned_id, total.tasks_spawned);
       shard.add(tasks_stolen_id, total.tasks_stolen);
       shard.add(steal_failures_id, total.steal_failures);
-    }
-    if (cache_on) {
-      shard.add(cache_ids.hits, total.cache_hits);
-      shard.add(cache_ids.misses, total.cache_misses);
-      shard.add(cache_ids.prunes, total.cache_prunes);
-      shard.add(cache_ids.inserts, total.cache_inserts);
-      shard.add(cache_ids.insert_races, total.cache_insert_races);
-      shard.add(cache_ids.full_drops, total.cache_full_drops);
-      shard.add(cache_ids.implication_refutes, total.implication_refutes);
-      shard.add(cache_ids.solver_escalations, total.solver_escalations);
-      shard.add(cache_ids.subset_hits, total.subset_hits);
-      shard.add(cache_ids.negative_hits, total.negative_hits);
-      shard.add(cache_ids.escalation_refutes, total.escalation_refutes);
-      shard.add(cache_ids.escalations_vetoed, total.escalations_vetoed);
-    }
-    if (controller_ != nullptr) {
-      const EscalationController::Snapshot cs = controller_->snapshot();
-      shard.set(ctrl_ids.payoff, cs.payoff);
-      shard.set(ctrl_ids.enabled, cs.enabled ? 1.0 : 0.0);
-      shard.add(ctrl_ids.windows, cs.windows);
-      shard.add(ctrl_ids.disables, cs.disables);
     }
   }
   sink_ = nullptr;

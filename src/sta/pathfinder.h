@@ -29,7 +29,6 @@
 #include "charlib/charlibrary.h"
 #include "sta/delaycalc.h"
 #include "sta/justify.h"
-#include "sta/justify_cache.h"
 #include "sta/path.h"
 #include "util/flight_recorder.h"
 #include "util/metrics.h"
@@ -40,16 +39,15 @@ namespace sasta::sta {
 
 /// Search-cost attribution filled in by PathFinder::run() when
 /// PathFinderOptions::attribution points here.  Answers "where did the
-/// effort go": which source PIs, which fanin-cone gates, and which
-/// cache/tier decision points consumed the trials, backtracks and solver
-/// time that aggregate stats only report as totals.
+/// effort go": which source PIs and which fanin-cone gates consumed the
+/// trials, backtracks and seconds that aggregate stats only report as
+/// totals.
 ///
 /// Like metrics/trace, attribution is observational: collecting it never
 /// changes enumerated paths.  Every cost figure is charged to exactly one
 /// owner, so the tables reconcile with PathFinderStats — the sources rows
 /// sum to the aggregate vector_trials/backtracks/paths_recorded/
-/// justify_limited, and the gates rows sum to vector_trials, cache_prunes
-/// and solver_escalations respectively.
+/// justify_limited, and the gates rows sum to vector_trials.
 struct SearchAttribution {
   /// One row per searched source PI, in source order.
   struct SourceCost {
@@ -60,26 +58,15 @@ struct SearchAttribution {
     long justify_limited = 0;
     double seconds = 0.0;
   };
-  /// One row per instance with any attributed cost.  A vector trial (or
-  /// prune) is charged to the gate being entered; a solver escalation —
-  /// and the backtracks it consumed — to the gate whose trial triggered
-  /// the memo miss.
+  /// One row per instance with any attributed trial; a vector trial is
+  /// charged to the gate being entered.
   struct GateCost {
     netlist::InstId inst = netlist::kNoId;
     long vector_trials = 0;
-    long cache_prunes = 0;
-    long solver_escalations = 0;
-    long escalation_backtracks = 0;
   };
 
   std::vector<SourceCost> sources;  ///< ordered by source-PI search order
   std::vector<GateCost> gates;      ///< ordered by instance id
-  /// Per-shard resident entries of the shared memo table at run end
-  /// (kShared mode only; empty otherwise).
-  std::vector<std::size_t> cache_shards;
-  /// Adaptive-tier controller state (valid iff controller_active).
-  bool controller_active = false;
-  EscalationController::Snapshot controller;
 };
 
 /// How the parallel search distributes work across worker threads.
@@ -97,6 +84,12 @@ enum class ScheduleMode {
   /// to kSource at every thread count, regardless of who executed what.
   kSteal,
 };
+
+// --- perfbench/probe.cpp compatibility --------------------------------
+// Enumerations of removed search modes, kept only so the frozen benchmark
+// probe compiles (see the compatibility block of PathFinderOptions).
+enum class JustifyCacheMode { kShared };
+enum class JustifyTier { kBoth };
 
 struct PathFinderOptions {
   long max_paths = -1;      ///< stop after this many recorded paths (<0: all)
@@ -149,69 +142,9 @@ struct PathFinderOptions {
   /// sequential search would carry into its candidate range, and the
   /// canonical merge restores sequential delivery order.  Unlike kSource,
   /// kSteal does not cap the worker count at the source count — that is
-  /// precisely the starvation it exists to fix.  The n_worst floor, memo
-  /// cache and escalation controller all compose with stealing unchanged
-  /// (they are already cross-worker shared state).
+  /// precisely the starvation it exists to fix.  The n_worst floor composes
+  /// with stealing unchanged (it is already cross-worker shared state).
   ScheduleMode schedule = ScheduleMode::kSource;
-
-  /// Justification memo cache (see justify_cache.h).  Caching is strictly
-  /// result-neutral: only exhaustive fresh-state CONFLICT verdicts prune,
-  /// and those trials could never have recorded a path, so the enumerated
-  /// path set is bit-identical between kOff and kShared at every thread
-  /// count.  Verdicts are pure functions of (netlist, goal set, budget),
-  /// so vector_trials is deterministic at any thread count — only less
-  /// than or equal to the kOff count (pruned trials are not counted as
-  /// attempted).  kOff is the uncached reference search.
-  JustifyCacheMode justify_cache = JustifyCacheMode::kShared;
-  /// Total slots of the memo table (16 bytes each).  Overflow degrades
-  /// gracefully: verdicts that do not fit are recomputed on demand, never
-  /// invented.
-  std::size_t justify_cache_capacity = std::size_t{1} << 16;
-  /// kShared only: borrow a caller-owned memo table instead of building a
-  /// fresh one per PathFinder.  This is how the serve-mode session keeps
-  /// justification memos warm across requests and ECO edits: verdicts are
-  /// pure functions of (netlist, goal set, budget), so reuse across
-  /// PathFinder instances over the *same* logic is as sound as reuse
-  /// across workers within one run — and the owner must clear() or
-  /// invalidate() the table whenever netlist logic or the backtrack budget
-  /// changes (justify_cache_capacity is ignored; the external table keeps
-  /// its own geometry).  Null (the default) preserves the classic
-  /// finder-owned table.
-  JustifyCache* external_cache = nullptr;
-  /// How a memo-cache miss is refuted.  Misses resolve per
-  /// support-disjoint component of the goal conjunction: kBoth (default)
-  /// runs the zero-backtracking implication-closure refuter first and
-  /// escalates to the budgeted solver only when closure is inconclusive;
-  /// kImplication stops after closure (cheapest misses, fewest CONFLICT
-  /// verdicts).  Purely a work/benefit knob: every tier's CONFLICT is a
-  /// sound exhaustive refutation, so enumerated paths are bit-identical
-  /// across tiers — and because verdicts stay pure functions of the goal set,
-  /// vector_trials is deterministic per tier at every thread count.
-  /// kAdaptive runs the kBoth pipeline behind an online payoff controller
-  /// (see EscalationController) that vetoes solver escalations when
-  /// refutes-per-escalation drops below escalation_payoff; vetoed
-  /// candidates are memoized kInconclusive, the closure-only verdict.
-  /// Enumerated paths stay bit-identical (no verdict is ever invented),
-  /// but the controller's decisions depend on escalation *arrival order*,
-  /// so kAdaptive cost counters are deterministic only at num_threads = 1.
-  JustifyTier justify_tier = JustifyTier::kBoth;
-  /// kAdaptive only: minimum smoothed refutes-per-escalation for the
-  /// solver tier to stay enabled.  0 admits every escalation (kAdaptive
-  /// degenerates to kBoth); higher values cut the solver off earlier on
-  /// circuits where escalations rarely refute.
-  double escalation_payoff = 0.1;
-  /// Unused; must stay 1.  Kept only because perfbench/probe.cpp assigns
-  /// it, and goes away with that line.
-  int trial_lanes = 1;
-  /// Backtrack budget for the cache's fresh-state solves, deliberately far
-  /// below justify_backtrack_budget: a CONFLICT proven under any budget is
-  /// a complete refutation (the limit was not hit), while conjunctions too
-  /// hard to refute this cheaply are cached as kBudgetLimited and never
-  /// re-solved — bounding the worst-case cost a miss can add to the
-  /// search.  Purely a work/benefit knob: it never changes enumerated
-  /// paths, only which trials get pruned early.  < 0: use
-  /// justify_backtrack_budget.
-  int justify_cache_budget = 256;
 
   // --- Observability (all optional; null / <= 0 is a zero-overhead no-op).
   // Metrics and traces record observed state only and are NEVER inputs to
@@ -229,8 +162,7 @@ struct PathFinderOptions {
   /// trials/sec, elapsed wall clock).  <= 0: off.
   double progress_interval_seconds = -1;
   /// Search-cost attribution sink: when non-null, run() fills it with
-  /// per-source and per-gate cost tables plus cache/controller state (see
-  /// SearchAttribution).  Borrowed; overwritten on every run().
+  /// per-source and per-gate cost tables (see SearchAttribution).  Borrowed; overwritten on every run().
   SearchAttribution* attribution = nullptr;
 
   /// Flight recorder (borrowed; null = off): each worker writes search
@@ -266,6 +198,16 @@ struct PathFinderOptions {
   /// under n_worst pruning, whose shared floor couples sources; callers
   /// wanting splice-equality (the session does) must keep n_worst = 0.
   std::function<bool(netlist::NetId)> source_filter;
+
+  // --- perfbench/probe.cpp compatibility (read by nothing) ---------------
+  // The frozen benchmark probe still assigns these fields of removed
+  // search modes.  They have no effect; drop them together with the
+  // probe's assignments in a benchmark change.
+  JustifyCacheMode justify_cache = JustifyCacheMode::kShared;
+  std::size_t justify_cache_capacity = 0;
+  JustifyTier justify_tier = JustifyTier::kBoth;
+  double escalation_payoff = 0.0;
+  int trial_lanes = 1;
 };
 
 class PathFinder {
@@ -340,32 +282,6 @@ class PathFinder {
   void extend_over(Worker& w, netlist::NetId net, unsigned alive,
                    std::size_t cand_begin, std::size_t cand_end);
   void record(Worker& w, netlist::NetId sink_net, unsigned alive);
-  /// Memo-cache gate for one (instance, entered pin, vector) trial: true
-  /// iff the trial's side-value conjunction — alone or joined with the
-  /// accumulated prefix goals — is known infeasible from a fresh state, in
-  /// which case the whole trial is skipped (it could never record a path).
-  /// Cache misses are resolved on the spot with a fresh-state solve on the
-  /// worker's scratch solver, so the decision is a pure function of the
-  /// goal set and identical for every cache mode and thread count.
-  bool trial_cached_infeasible(Worker& w, const netlist::Instance& inst,
-                               int pin,
-                               const charlib::SensitizationVector& vec);
-  /// probe → (on miss) per-component tiered refutation → publish.
-  /// `goals` must be the conjunction `key` canonicalizes.  A miss is
-  /// resolved support-disjoint component by component, each verdict cached
-  /// under its own key: one component's CONFLICT refutes the whole
-  /// conjunction, and because refuted components are (re-)inserted
-  /// standalone, every future superset containing one is refuted by a
-  /// probe instead of a solve (conflict-subset learning).
-  JustifyVerdict cached_verdict(Worker& w, const GoalSetKey& key,
-                                std::span<const Goal> goals);
-  /// probe → (on miss) tiered refutation → publish for one
-  /// support-disjoint component.  `was_hit` reports a table hit.
-  JustifyVerdict component_verdict(Worker& w, std::span<const Goal> goals,
-                                   bool& was_hit);
-  /// Tier dispatch for one component on the worker's scratch context:
-  /// implication closure, then (tier permitting) the budgeted solver.
-  JustifyVerdict refute_component(Worker& w, std::span<const Goal> goals);
   /// Polls the shared wall-clock deadline; on expiry flags truncation and
   /// raises the global stop.  The single deadline authority (bugfix: this
   /// used to be polled only every 64 vector trials in extend()).
@@ -391,21 +307,6 @@ class PathFinder {
   std::vector<std::vector<std::uint64_t>> supports_;
   std::vector<int> pi_bit_;
   std::vector<bool> reach_;
-  /// The cross-worker memo table (kShared mode only).  Lives for the
-  /// PathFinder's lifetime — verdicts stay valid across run() calls of the
-  /// same instance.  Not built when the caller lends
-  /// options.external_cache.
-  std::unique_ptr<JustifyCache> shared_cache_;
-  /// The shared table in effect: the borrowed external one if set, else
-  /// the finder-owned one; null outside kShared mode.
-  JustifyCache* active_shared_cache() const {
-    return opt_.external_cache != nullptr ? opt_.external_cache
-                                          : shared_cache_.get();
-  }
-  /// The kAdaptive payoff controller (null for every other tier).  Shared
-  /// by all workers; like the cache it lives for the PathFinder's
-  /// lifetime, so the payoff estimate carries across run() calls.
-  std::unique_ptr<EscalationController> controller_;
 
   // Run-scoped shared state.
   const std::function<void(const TruePath&)>* sink_ = nullptr;

@@ -14,18 +14,6 @@ namespace {
 /// grep the report surface out of this file and hold docs/METRICS.md to it.
 std::string jkey(const char* name) { return util::json_quote(name); }
 
-const char* tier_name(JustifyTier t) {
-  switch (t) {
-    case JustifyTier::kImplication:
-      return "implication";
-    case JustifyTier::kBoth:
-      return "both";
-    case JustifyTier::kAdaptive:
-      return "adaptive";
-  }
-  return "?";
-}
-
 const char* schedule_name(ScheduleMode s) {
   switch (s) {
     case ScheduleMode::kSource:
@@ -36,40 +24,18 @@ const char* schedule_name(ScheduleMode s) {
   return "?";
 }
 
-const char* mode_name(JustifyCacheMode m) {
-  switch (m) {
-    case JustifyCacheMode::kOff:
-      return "off";
-    case JustifyCacheMode::kShared:
-      return "shared";
-  }
-  return "?";
-}
-
-double live_ratio(long numerator, long denominator) {
-  return denominator > 0
-             ? static_cast<double>(numerator) /
-                   static_cast<double>(denominator)
-             : 0.0;
-}
-
-/// Attributed cost of one gate row: every unit is roughly one unit of
-/// search work — a vector trial attempted, a trial pruned at the gate, or
-/// one solver backtrack spent escalating the gate's conjunctions.
-long gate_cost(const SearchAttribution::GateCost& g) {
-  return g.vector_trials + g.cache_prunes + g.escalation_backtracks;
-}
-
-/// The K hottest gates, totally ordered (cost descending, instance id
-/// ascending) so the table is deterministic for fixed tallies.
+/// The K gates with the most vector trials, totally ordered (trials
+/// descending, instance id ascending) so the table is deterministic for
+/// fixed tallies.
 std::vector<SearchAttribution::GateCost> top_gates(
     const SearchAttribution& attribution, int k) {
   std::vector<SearchAttribution::GateCost> gates = attribution.gates;
   std::sort(gates.begin(), gates.end(),
             [](const SearchAttribution::GateCost& a,
                const SearchAttribution::GateCost& b) {
-              const long ca = gate_cost(a), cb = gate_cost(b);
-              return ca != cb ? ca > cb : a.inst < b.inst;
+              return a.vector_trials != b.vector_trials
+                         ? a.vector_trials > b.vector_trials
+                         : a.inst < b.inst;
             });
   if (k >= 0 && gates.size() > static_cast<std::size_t>(k)) {
     gates.resize(k);
@@ -134,14 +100,8 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
     const PathFinderOptions& o = *in.options;
     os << "\n    " << jkey("threads") << ": " << o.num_threads << ",\n    "
        << jkey("schedule") << ": \"" << schedule_name(o.schedule)
-       << "\",\n    "
-       << jkey("cache") << ": \"" << mode_name(o.justify_cache) << "\",\n    "
-       << jkey("tier") << ": \"" << tier_name(o.justify_tier) << "\",\n    "
-       << jkey("cache_capacity") << ": " << o.justify_cache_capacity
-       << ",\n    " << jkey("cache_budget") << ": " << o.justify_cache_budget
-       << ",\n    " << jkey("backtrack_budget") << ": "
-       << o.justify_backtrack_budget << ",\n    " << jkey("escalation_payoff")
-       << ": " << num(o.escalation_payoff) << "\n  ";
+       << "\",\n    " << jkey("backtrack_budget") << ": "
+       << o.justify_backtrack_budget << "\n  ";
   }
   os << "},\n";
 
@@ -161,55 +121,6 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
        << jkey("cpu_seconds") << ": " << num(s.cpu_seconds) << ",\n    "
        << jkey("truncated") << ": " << (s.truncated ? "true" : "false")
        << "\n  ";
-  }
-  os << "},\n";
-
-  // --- cache/tier decision points, with the payoff ratio live.
-  os << "  " << jkey("cache") << ": {";
-  if (in.stats != nullptr) {
-    const PathFinderStats& s = *in.stats;
-    os << "\n    " << jkey("hits") << ": " << s.cache_hits << ",\n    "
-       << jkey("misses") << ": " << s.cache_misses << ",\n    "
-       << jkey("prunes") << ": " << s.cache_prunes << ",\n    "
-       << jkey("inserts") << ": " << s.cache_inserts << ",\n    "
-       << jkey("insert_races") << ": " << s.cache_insert_races << ",\n    "
-       << jkey("full_drops") << ": " << s.cache_full_drops << ",\n    "
-       << jkey("implication_refutes") << ": " << s.implication_refutes
-       << ",\n    " << jkey("solver_escalations") << ": "
-       << s.solver_escalations << ",\n    " << jkey("subset_hits") << ": "
-       << s.subset_hits << ",\n    " << jkey("negative_hits") << ": "
-       << s.negative_hits << ",\n    " << jkey("escalation_refutes") << ": "
-       << s.escalation_refutes << ",\n    " << jkey("escalations_vetoed")
-       << ": " << s.escalations_vetoed << ",\n    "
-       << jkey("refutes_per_escalation") << ": "
-       << num(live_ratio(s.escalation_refutes, s.solver_escalations))
-       << ",\n    " << jkey("shard_occupancy") << ": [";
-    if (in.attribution != nullptr) {
-      for (std::size_t i = 0; i < in.attribution->cache_shards.size(); ++i) {
-        os << (i ? ", " : "") << in.attribution->cache_shards[i];
-      }
-    }
-    os << "]\n  ";
-  }
-  os << "},\n";
-
-  // --- adaptive escalation controller.
-  os << "  " << jkey("controller") << ": {";
-  {
-    const bool active =
-        in.attribution != nullptr && in.attribution->controller_active;
-    os << "\n    " << jkey("active") << ": " << (active ? "true" : "false");
-    if (active) {
-      const EscalationController::Snapshot& c = in.attribution->controller;
-      os << ",\n    " << jkey("escalations") << ": " << c.escalations
-         << ",\n    " << jkey("refutes") << ": " << c.refutes << ",\n    "
-         << jkey("vetoes") << ": " << c.vetoes << ",\n    "
-         << jkey("windows") << ": " << c.windows << ",\n    "
-         << jkey("disables") << ": " << c.disables << ",\n    "
-         << jkey("payoff") << ": " << num(c.payoff) << ",\n    "
-         << jkey("enabled") << ": " << (c.enabled ? "true" : "false");
-    }
-    os << "\n  ";
   }
   os << "},\n";
 
@@ -238,12 +149,7 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
     for (const SearchAttribution::GateCost& g : gates) {
       os << sep << "\n      {" << jkey("name") << ": "
          << util::json_quote(in.netlist->instance(g.inst).name) << ", "
-         << jkey("cost") << ": " << gate_cost(g) << ", "
-         << jkey("vector_trials") << ": " << g.vector_trials << ", "
-         << jkey("cache_prunes") << ": " << g.cache_prunes << ", "
-         << jkey("solver_escalations") << ": " << g.solver_escalations
-         << ", " << jkey("escalation_backtracks") << ": "
-         << g.escalation_backtracks << "}";
+         << jkey("vector_trials") << ": " << g.vector_trials << "}";
       sep = ",";
     }
     if (*sep != '\0') os << "\n    ";
@@ -331,42 +237,14 @@ std::string format_profile_summary(const RunReportInputs& in) {
          << " backtracks, " << r.paths_recorded << " paths\n";
     }
 
-    os << "  hot gates (by attributed cost = trials + prunes + "
-          "escalation backtracks):\n";
+    os << "  hot gates (by vector trials):\n";
     for (const SearchAttribution::GateCost& g :
          top_gates(*in.attribution, std::min(in.top_k_gates, 8))) {
-      os << "    " << in.netlist->instance(g.inst).name << ": cost "
-         << gate_cost(g) << " (" << g.vector_trials << " trials, "
-         << g.cache_prunes << " prunes, " << g.solver_escalations
-         << " escalations)\n";
+      os << "    " << in.netlist->instance(g.inst).name << ": "
+         << g.vector_trials << " trials\n";
     }
   }
 
-  if (in.stats != nullptr) {
-    const PathFinderStats& s = *in.stats;
-    const long probes = s.cache_hits + s.cache_misses;
-    os << "  cache: " << s.cache_hits << "/" << probes << " probes hit, "
-       << s.cache_prunes << " prunes, " << s.negative_hits
-       << " negative hits, " << s.subset_hits << " subset hits\n";
-    os << "  tiers: " << s.implication_refutes << " implication refutes, "
-       << s.solver_escalations << " solver escalations ("
-       << s.escalation_refutes << " refuting, payoff "
-       << util::format_fixed(
-              live_ratio(s.escalation_refutes, s.solver_escalations), 3)
-       << ")";
-    if (s.escalations_vetoed > 0) {
-      os << ", " << s.escalations_vetoed << " vetoed";
-    }
-    os << "\n";
-  }
-
-  if (in.attribution != nullptr && in.attribution->controller_active) {
-    const EscalationController::Snapshot& c = in.attribution->controller;
-    os << "  controller: " << (c.enabled ? "enabled" : "DISABLED")
-       << ", payoff " << util::format_fixed(c.payoff, 3) << " over "
-       << c.windows << " windows, " << c.vetoes << " vetoes, " << c.disables
-       << " disables\n";
-  }
   return os.str();
 }
 
@@ -391,13 +269,6 @@ std::vector<std::string> selfcheck_run(const RunReportInputs& in) {
   // Internal stats invariants (always checkable).
   le("courses <= paths_recorded", s.courses, s.paths_recorded);
   le("multi_vector_courses <= courses", s.multi_vector_courses, s.courses);
-  le("negative_hits <= cache_hits", s.negative_hits, s.cache_hits);
-  le("subset_hits <= cache_hits", s.subset_hits, s.cache_hits);
-  le("escalation_refutes <= solver_escalations", s.escalation_refutes,
-     s.solver_escalations);
-  // Every miss is accounted for by exactly one insert outcome.
-  eq("cache_misses == inserts + insert_races + full_drops", s.cache_misses,
-     s.cache_inserts + s.cache_insert_races + s.cache_full_drops);
   // A stolen task is one some worker spawned; the source scheduler spawns
   // no tasks at all.
   le("tasks_stolen <= tasks_spawned", s.tasks_stolen, s.tasks_spawned);
@@ -407,13 +278,9 @@ std::vector<std::string> selfcheck_run(const RunReportInputs& in) {
     eq("tasks_stolen (source schedule)", s.tasks_stolen, 0);
     eq("steal_failures (source schedule)", s.steal_failures, 0);
   }
-  if (in.options != nullptr &&
-      in.options->justify_tier != JustifyTier::kAdaptive) {
-    eq("escalations_vetoed (non-adaptive tier)", s.escalations_vetoed, 0);
-  }
 
   // Attribution rows vs aggregates: every cost unit is charged to exactly
-  // one source and (for trials/prunes/escalations) exactly one gate.
+  // one source and (for trials) exactly one gate.
   if (in.attribution != nullptr) {
     long src_trials = 0, src_backtracks = 0, src_paths = 0, src_limited = 0;
     for (const SearchAttribution::SourceCost& r : in.attribution->sources) {
@@ -432,18 +299,12 @@ std::vector<std::string> selfcheck_run(const RunReportInputs& in) {
     eq("sum(sources.justify_limited) == justify_limited", src_limited,
        s.justify_limited);
 
-    long gate_trials = 0, gate_prunes = 0, gate_escalations = 0;
+    long gate_trials = 0;
     for (const SearchAttribution::GateCost& g : in.attribution->gates) {
       gate_trials += g.vector_trials;
-      gate_prunes += g.cache_prunes;
-      gate_escalations += g.solver_escalations;
     }
     eq("sum(gates.vector_trials) == vector_trials", gate_trials,
        s.vector_trials);
-    eq("sum(gates.cache_prunes) == cache_prunes", gate_prunes,
-       s.cache_prunes);
-    eq("sum(gates.solver_escalations) == solver_escalations",
-       gate_escalations, s.solver_escalations);
   }
 
   // Per-source metrics vs aggregates (the metrics layer's own view).

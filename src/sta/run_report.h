@@ -4,16 +4,15 @@
 // The report is the one machine-readable artifact that merges everything
 // the observability layer knows about a run: the aggregate
 // PathFinderStats, the metrics snapshot, the search-cost attribution
-// tables (per-source rows, top-K hot gates, cache/tier decision points)
-// and the per-worker phase timelines recovered from metrics + trace.  Its
-// schema is versioned ("sasta-run-report-v1") and documented in
-// docs/METRICS.md ("Run report schema"); tools/check_docs_sync greps the
-// jkey() call sites in run_report.cpp to hold the docs to the emitted key
-// set.
+// tables (per-source rows, top-K hot gates) and the per-worker phase
+// timelines recovered from metrics + trace.  Its schema is versioned
+// ("sasta-run-report-v1") and documented in docs/METRICS.md ("Run report
+// schema"); tools/check_docs_sync greps the jkey() call sites in
+// run_report.cpp to hold the docs to the emitted key set.
 //
 // Rendering is deterministic for fixed inputs: keys are emitted in fixed
 // order, doubles go through util::json_number, and the hot-gate table has
-// a total order (attributed cost descending, instance id ascending).
+// a total order (vector trials descending, instance id ascending).
 #pragma once
 
 #include <ostream>
@@ -34,13 +33,12 @@ struct RunReportInputs {
   std::string circuit;
   const netlist::Netlist* netlist = nullptr;      ///< names for ids
   const PathFinderOptions* options = nullptr;     ///< echoed into "options"
-  const PathFinderStats* stats = nullptr;         ///< "totals" + "cache"
+  const PathFinderStats* stats = nullptr;         ///< "totals"
   const util::MetricsSnapshot* metrics = nullptr; ///< "metrics" + "workers"
   const SearchAttribution* attribution = nullptr; ///< "attribution"
   const util::TraceCollector* trace = nullptr;    ///< span counts per lane
   const util::FlightRecorder* flight = nullptr;   ///< "recorder" summary
-  /// Hot-gate table size: the K highest-cost gates by attributed cost
-  /// (vector_trials + cache_prunes + escalation_backtracks).
+  /// Hot-gate table size: the K gates with the most vector trials.
   int top_k_gates = 16;
 };
 
@@ -50,15 +48,13 @@ void write_run_report(const RunReportInputs& in, std::ostream& os);
 /// Counter-reconciliation pass (--selfcheck): cross-checks every redundant
 /// view of the run — attribution rows vs aggregate stats, per-source
 /// metrics vs stats, recorder activity slots vs stats, and the internal
-/// stats invariants (cache miss bookkeeping, scheduler and tier
-/// arithmetic).  Returns one human-readable "name: got X want Y" line per
+/// stats invariants (course and scheduler arithmetic).  Returns one human-readable "name: got X want Y" line per
 /// violation; an empty vector means every available view reconciles.
 /// Sections whose inputs are null are skipped, never failed.
 std::vector<std::string> selfcheck_run(const RunReportInputs& in);
 
-/// Renders the --profile summary: top sources and hot gates by attributed
-/// cost, the cache/tier breakdown with the live refutes-per-escalation
-/// ratio, and the adaptive controller's verdict.
+/// Renders the --profile summary: top sources by seconds and hot gates by
+/// vector trials.
 std::string format_profile_summary(const RunReportInputs& in);
 
 }  // namespace sasta::sta

@@ -33,10 +33,6 @@ const char* flight_event_kind_name(std::uint8_t kind) {
     case FlightEventKind::kSourceClaim: return "source_claim";
     case FlightEventKind::kSourceDone: return "source_done";
     case FlightEventKind::kTrial: return "trial";
-    case FlightEventKind::kCacheHit: return "cache_hit";
-    case FlightEventKind::kCachePrune: return "cache_prune";
-    case FlightEventKind::kEscalation: return "escalation";
-    case FlightEventKind::kEscalationVeto: return "escalation_veto";
     case FlightEventKind::kBacktrackBurst: return "backtrack_burst";
     case FlightEventKind::kPathRecorded: return "path_recorded";
     case FlightEventKind::kTaskSpawn: return "task_spawn";
@@ -393,7 +389,7 @@ void StallWatchdog::loop() {
 // ---------------------------------------------------------------------------
 // Signal plumbing.
 //
-// Handler rules (reviewed against ARCHITECTURE §12): handlers touch only
+// Handler rules (reviewed against ARCHITECTURE §11): handlers touch only
 // lock-free atomics, the pre-opened dump fd, and FlightRecorder::dump()
 // (async-signal-safe by construction, above).  Crash handlers restore the
 // default action and re-raise so exit status / core behavior is unchanged.

@@ -47,19 +47,16 @@ enum class FlightEventKind : std::uint8_t {
   kSourceClaim = 1,  // a = source net id, b = source index
   kSourceDone = 2,   // a = source net id, b = paths recorded for it
   kTrial = 3,        // arg = pin, a = gate inst id, b = search depth
-  kCacheHit = 4,     // arg = verdict, a = gate inst id, b = goal count
-  kCachePrune = 5,   // arg = pin, a = gate inst id, b = vector id
-  kEscalation = 6,   // arg = verdict, a = gate inst id, b = backtracks
-  kEscalationVeto = 7,  // a = gate inst id
-  // 8 is retired (a word-packed trial sweep); never reuse it.
+  // 4-7 are retired (memo-cache hit/prune, solver escalation/veto) and 8
+  // is retired (a word-packed trial sweep); never reuse them.
   kBacktrackBurst = 9,  // a = backtracks used, b = alive mask
   kPathRecorded = 10,  // arg = launch bit, a = steps, b = sink net id
   kTaskSpawn = 11,     // arg = task count, a = source net id, b = candidates
   kTaskSteal = 12,     // arg = victim lane, a = source net id, b = chunk index
 };
 
-/// Stable short name for a kind ("trial", "cache_hit", ...); "?" for
-/// out-of-range values (possible in a torn crash-dump slot).
+/// Stable short name for a kind ("trial", "path_recorded", ...); "?" for
+/// retired or out-of-range values (possible in a torn crash-dump slot).
 const char* flight_event_kind_name(std::uint8_t kind);
 
 /// Sentinel for "no current source/gate" in activity slots.

@@ -42,6 +42,7 @@ struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   std::string* error = nullptr;
+  int depth = 0;  ///< open objects/arrays enclosing `pos`
 
   bool fail(const std::string& message) {
     if (error) {
@@ -78,9 +79,15 @@ struct Parser {
     const char c = text[pos];
     switch (c) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        // Containers recurse, so hostile input such as a line of 10^6 '['
+        // must be refused before it exhausts the stack.
+        if (depth >= JsonValue::kMaxDepth) return fail("nesting too deep");
+        ++depth;
+        const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+        --depth;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!parse_string(&s)) return false;

@@ -75,9 +75,13 @@ class JsonValue {
   void dump(std::ostream& os) const;
   std::string dump() const;
 
+  /// Deepest object/array nesting parse() accepts.
+  static constexpr int kMaxDepth = 256;
+
   /// Parses a complete JSON document.  On failure returns false and, when
   /// `error` is non-null, stores a one-line message with the byte offset.
-  /// Trailing whitespace is allowed; trailing garbage is an error.
+  /// Trailing whitespace is allowed; trailing garbage is an error, and so
+  /// is nesting deeper than kMaxDepth.
   static bool parse(std::string_view text, JsonValue* out,
                     std::string* error);
 

@@ -50,10 +50,6 @@ TEST(CliDefaults, RunReportOptionsMatchPathFinderOptionsDefaults) {
   EXPECT_EQ(cli.get("threads").as_long(-1), 0);
 
   // The documented defaults, pinned.
-  EXPECT_EQ(cli.get("cache").as_string(), "shared");
-  EXPECT_EQ(cli.get("tier").as_string(), "both");
-  EXPECT_EQ(cli.get("escalation_payoff").as_double(), 0.1);
-  EXPECT_EQ(cli.get("cache_capacity").as_long(), 65536);
   EXPECT_EQ(cli.get("schedule").as_string(), "source");
   EXPECT_EQ(cli.get("backtrack_budget").as_long(), 2000);
 }

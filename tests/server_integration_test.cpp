@@ -145,8 +145,6 @@ server::ServerOptions test_options(const std::string& socket_path) {
   opt.socket_path = socket_path;
   opt.charcache_dir = "sasta-test-charcache";  // share the suite's cache
   opt.session_defaults.tool.finder.num_threads = 2;
-  opt.session_defaults.tool.finder.justify_cache =
-      sta::JustifyCacheMode::kShared;
   return opt;
 }
 
@@ -173,7 +171,6 @@ BatchAnswer batch_c17(long paths, long fastest, double required_ns) {
   sopt.keep_worst = paths;
   sopt.keep_fastest = fastest;
   sopt.finder.num_threads = 2;
-  sopt.finder.justify_cache = sta::JustifyCacheMode::kShared;
   sta::StaTool tool(nl, cl, tech::technology("90nm"), sopt);
   const sta::StaResult res = tool.run();
 
@@ -242,6 +239,23 @@ TEST(ServerIntegration, PingHelloAndProtocolErrors) {
   // Requests and errors were counted.
   EXPECT_GE(fx.counter("server.requests"), 5);
   EXPECT_GE(fx.counter("server.errors"), 3);
+}
+
+// A hostile line of 10^6 '[' used to recurse the JSON parser into a stack
+// overflow and kill the daemon.  It must be answered with E_PARSE, and the
+// same connection must keep serving the next request.
+TEST(ServerIntegration, DeeplyNestedLineIsAParseErrorNotACrash) {
+  ServerFixture fx(test_options(socket_path("deep")));
+  ASSERT_TRUE(fx.server().listening());
+  LineClient client(socket_path("deep"));
+  ASSERT_TRUE(client.connected());
+
+  JsonValue resp = client.call_raw(std::string(1000000, '['));
+  EXPECT_EQ(resp.get("error").get("code").as_string(), server::kErrParse)
+      << resp.dump();
+
+  resp = client.call("ping", JsonValue::object());
+  EXPECT_TRUE(resp.get("result").get("pong").as_bool()) << resp.dump();
 }
 
 TEST(ServerIntegration, AnalyzeMatchesBatchAndWarmRepeatSkipsSearch) {

@@ -1,12 +1,11 @@
-// ECO-incremental re-analysis: impact analysis, scoped memo invalidation,
-// and the bit-identity contract of the serve-mode session.
+// ECO-incremental re-analysis: impact analysis and the bit-identity
+// contract of the serve-mode session.
 //
 // The contract under test (src/sta/eco.h, src/server/session.h): after an
 // ECO edit, re-searching only the dirty sources and re-timing only the
 // dirty cones must produce byte-for-byte the paths, delays and report text
 // of a cold full recompute — while demonstrably reusing the untouched
-// cones' cached enumerations and justification memos.  The battery covers
-// the JustifyCache scoped invalidation white-box, the cone/impact
+// cones' cached enumerations.  The battery covers the cone/impact
 // computation on hand-analyzable circuits, and a randomized differential
 // sweep (incremental vs force_cold) over generated netlists and all three
 // ECO operations.
@@ -23,8 +22,6 @@
 #include "netlist/techmap.h"
 #include "server/session.h"
 #include "sta/eco.h"
-#include "sta/implication.h"
-#include "sta/justify_cache.h"
 #include "sta/sta_tool.h"
 #include "tech/technology.h"
 #include "test_charlib.h"
@@ -35,9 +32,6 @@ namespace sasta {
 namespace {
 
 using server::Session;
-using sta::GoalSetKey;
-using sta::JustifyCache;
-using sta::JustifyVerdict;
 
 netlist::Netlist mapped_bench(const std::string& text,
                               const std::string& name) {
@@ -106,7 +100,6 @@ std::shared_ptr<const charlib::CharLibrary> borrowed_charlib() {
 Session::Config session_config(int threads) {
   Session::Config cfg;
   cfg.tool.finder.num_threads = threads;
-  cfg.tool.finder.justify_cache = sta::JustifyCacheMode::kShared;
   return cfg;
 }
 
@@ -132,94 +125,6 @@ std::vector<std::string> outcome_fingerprints(
   fp.push_back("--report--");
   fp.push_back(out.report_text);
   return fp;
-}
-
-// --- JustifyCache scoped invalidation --------------------------------------
-
-GoalSetKey key_of(std::uint32_t a, bool va, std::uint32_t b, bool vb) {
-  const sta::Goal goals[] = {{static_cast<netlist::NetId>(a), va},
-                             {static_cast<netlist::NetId>(b), vb}};
-  return sta::canonicalize_goals(goals);
-}
-
-TEST(JustifyCacheInvalidate, DisjointMaskIsANoOp) {
-  JustifyCache cache;
-  const GoalSetKey key = key_of(3, true, 7, false);  // support bits 3, 7
-  ASSERT_EQ(cache.insert(key, JustifyVerdict::kConflict),
-            JustifyCache::InsertOutcome::kInserted);
-
-  std::vector<std::uint32_t> epochs;
-  for (unsigned s = 0; s < cache.shard_count(); ++s) {
-    epochs.push_back(cache.shard_epoch(s));
-  }
-  // No resident entry mentions a net folding to bit 63.
-  EXPECT_EQ(cache.invalidate(std::uint64_t{1} << 63), 0u);
-  for (unsigned s = 0; s < cache.shard_count(); ++s) {
-    EXPECT_EQ(cache.shard_epoch(s), epochs[s]) << "shard " << s;
-  }
-  EXPECT_EQ(cache.probe(key), JustifyVerdict::kConflict);
-}
-
-TEST(JustifyCacheInvalidate, IntersectingSupportIsAlwaysEvicted) {
-  // Soundness fuzz: after invalidate(mask), no surviving entry's support
-  // may intersect the mask (collateral eviction of disjoint entries that
-  // share a shard is allowed; stale survivors are not).
-  util::Rng rng(2026);
-  for (int round = 0; round < 50; ++round) {
-    JustifyCache::Config cfg;
-    cfg.capacity = 1024;
-    cfg.shards = 1u << rng.next_below(5);  // 1..16
-    JustifyCache cache(cfg);
-
-    std::vector<GoalSetKey> keys;
-    for (int i = 0; i < 64; ++i) {
-      const auto a = static_cast<std::uint32_t>(rng.next_below(60));
-      const auto b = static_cast<std::uint32_t>(60 + rng.next_below(60));
-      const GoalSetKey key = key_of(a, rng.next_below(2) == 0, b,
-                                    rng.next_below(2) == 0);
-      if (cache.insert(key, JustifyVerdict::kConflict) ==
-          JustifyCache::InsertOutcome::kInserted) {
-        keys.push_back(key);
-      }
-    }
-    const std::uint64_t mask = rng.next_u64();
-    const std::size_t bumped = cache.invalidate(mask);
-    EXPECT_LE(bumped, cache.shard_count());
-    for (const GoalSetKey& key : keys) {
-      const JustifyVerdict v = cache.probe(key);
-      if ((key.support & mask) != 0) {
-        EXPECT_EQ(v, JustifyVerdict::kUnknown)
-            << "stale verdict survived a scoped invalidation";
-      } else {
-        EXPECT_TRUE(v == JustifyVerdict::kConflict ||
-                    v == JustifyVerdict::kUnknown);
-      }
-    }
-  }
-}
-
-TEST(JustifyCacheInvalidate, SingleShardSemantics) {
-  JustifyCache::Config cfg;
-  cfg.capacity = 64;
-  cfg.shards = 1;
-  JustifyCache cache(cfg);
-  const GoalSetKey ka = key_of(1, true, 2, false);
-  const GoalSetKey kb = key_of(40, false, 41, true);
-  ASSERT_EQ(cache.insert(ka, JustifyVerdict::kConflict),
-            JustifyCache::InsertOutcome::kInserted);
-  ASSERT_EQ(cache.insert(kb, JustifyVerdict::kJustifiable),
-            JustifyCache::InsertOutcome::kInserted);
-
-  // One shard: an intersecting mask evicts everything at once.
-  EXPECT_EQ(cache.invalidate(std::uint64_t{1} << 40), 1u);
-  EXPECT_EQ(cache.probe(ka), JustifyVerdict::kUnknown);
-  EXPECT_EQ(cache.probe(kb), JustifyVerdict::kUnknown);
-  // The shard's support union resets; a now-disjoint mask is a no-op and
-  // fresh inserts land cleanly in the reclaimed slots.
-  EXPECT_EQ(cache.invalidate(~std::uint64_t{0}), 0u);
-  EXPECT_EQ(cache.insert(ka, JustifyVerdict::kConflict),
-            JustifyCache::InsertOutcome::kInserted);
-  EXPECT_EQ(cache.probe(ka), JustifyVerdict::kConflict);
 }
 
 // --- ECO impact on a hand-analyzable circuit -------------------------------
@@ -281,9 +186,8 @@ bx = NAND(bm, bn)
 by = NAND(bn, b3)
 )";
 
-TEST(EcoImpact, DisjointComponentsHaveDisjointImpactAndSupport) {
+TEST(EcoImpact, DisjointComponentsHaveDisjointImpact) {
   const netlist::Netlist nl = mapped_bench(kTwoComponentBench, "twocomp");
-  ASSERT_LT(nl.num_nets(), 64) << "folded support masks must be exact here";
   const netlist::InstId in_a[] = {inst_by_name(nl, driver_name(nl, "am"))};
   const netlist::InstId in_b[] = {inst_by_name(nl, driver_name(nl, "bm"))};
 
@@ -291,12 +195,9 @@ TEST(EcoImpact, DisjointComponentsHaveDisjointImpactAndSupport) {
   EXPECT_EQ(dirty_names(nl, impact_a),
             (std::vector<std::string>{"a1", "a2", "a3"}));
 
-  const std::uint64_t mask_a = sta::component_support_mask(nl, in_a);
-  const std::uint64_t mask_b = sta::component_support_mask(nl, in_b);
-  EXPECT_NE(mask_a, 0u);
-  EXPECT_NE(mask_b, 0u);
-  EXPECT_EQ(mask_a & mask_b, 0u)
-      << "components share no nets, so the folded masks must be disjoint";
+  const sta::EcoImpact impact_b = sta::compute_eco_impact(nl, in_b);
+  EXPECT_EQ(dirty_names(nl, impact_b),
+            (std::vector<std::string>{"b1", "b2", "b3"}));
 }
 
 // Dead logic off an edited cone: w drives no primary output, so PI d
@@ -335,7 +236,7 @@ Session::AnalyzeRequest analyze_request() {
 }
 
 /// Runs the same request cold on the session (force_cold drops every warm
-/// path, timing and memo entry) and returns its fingerprints.
+/// path and timing) and returns its fingerprints.
 std::vector<std::string> cold_fingerprints(Session& session) {
   Session::AnalyzeRequest req = analyze_request();
   req.force_cold = true;
@@ -404,7 +305,6 @@ TEST(EcoDifferential, ResizeCellRetimesWithoutResearch) {
     const Session::EcoOutcome out = session->apply_eco(eco);
     // Logic untouched: the enumeration cache answers everything.
     EXPECT_EQ(out.analyze.sources_searched, 0u);
-    EXPECT_EQ(out.cache_shards_invalidated, 0u);
     EXPECT_GT(out.analyze.sources_retimed, 0u);
     const std::vector<std::string> incremental =
         outcome_fingerprints(session->netlist(), out.analyze);
@@ -534,16 +434,6 @@ TEST(EcoScopedReuse, SwapInOneComponentSparesTheOtherComponentsCaches) {
   ASSERT_FALSE(first.truncated);
   ASSERT_EQ(first.sources_total, 6u);  // a1..a3, b1..b3
 
-  const JustifyCache& cache = session->memo_cache();
-  std::vector<std::uint32_t> epochs_before;
-  for (unsigned s = 0; s < cache.shard_count(); ++s) {
-    epochs_before.push_back(cache.shard_epoch(s));
-  }
-  const netlist::InstId in_b[] = {
-      inst_by_name(session->netlist(), driver_name(session->netlist(), "bm"))};
-  const std::uint64_t mask_b =
-      sta::component_support_mask(session->netlist(), in_b);
-
   // Swap a gate in component A (function changes: NAND -> NOR).
   Session::EcoRequest eco;
   eco.op = "swap_gate";
@@ -557,18 +447,6 @@ TEST(EcoScopedReuse, SwapInOneComponentSparesTheOtherComponentsCaches) {
   EXPECT_EQ(out.dirty_sources, 3u);
   EXPECT_EQ(out.analyze.sources_searched, 3u);
   EXPECT_GE(out.analyze.sources_reused, 3u);
-
-  // The scoped invalidation never bumps a shard whose resident support is
-  // disjoint from A's component mask — B's memos survive the edit.
-  EXPECT_LT(out.cache_shards_invalidated, cache.shard_count())
-      << "every shard was evicted; nothing was scoped";
-  for (unsigned s = 0; s < cache.shard_count(); ++s) {
-    const std::uint64_t support = cache.shard_support(s);
-    if (support != 0 && (support & ~mask_b) == 0) {
-      EXPECT_EQ(cache.shard_epoch(s), epochs_before[s])
-          << "a shard holding only component-B memos was invalidated";
-    }
-  }
 
   // And the incremental answer is still the cold answer, bit for bit.
   const std::vector<std::string> incremental =

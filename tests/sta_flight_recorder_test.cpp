@@ -66,7 +66,6 @@ TEST(FlightRecorderNeutrality, ReportBytesIdenticalOnAndOffAcrossThreads) {
     StaToolOptions opt;
     opt.keep_worst = 10;
     opt.finder.num_threads = threads;
-    opt.finder.justify_cache = JustifyCacheMode::kShared;
     if (recorder) opt.finder.flight = &rec;
     const StaResult res = StaTool(nl, cl, tech, opt).run();
     if (stats_out != nullptr) *stats_out = res.stats;
@@ -97,7 +96,6 @@ TEST(FlightRecorderNeutrality, ReportBytesIdenticalOnAndOffAcrossThreads) {
     // The counter stream must be untouched too, not just the report.
     EXPECT_EQ(on_stats.vector_trials, off_stats.vector_trials);
     EXPECT_EQ(on_stats.paths_recorded, off_stats.paths_recorded);
-    EXPECT_EQ(on_stats.cache_prunes, off_stats.cache_prunes);
     EXPECT_EQ(on_stats.courses, off_stats.courses);
   }
 }
@@ -115,7 +113,6 @@ TEST(FlightRecorderCoverage, SearchEmitsExpectedKindsAndActivityReconciles) {
 
   PathFinderOptions opt;
   opt.num_threads = 4;
-  opt.justify_cache = JustifyCacheMode::kShared;
   opt.flight = &rec;
   PathFinder finder(nl, testing::test_charlib("90nm"), opt);
   const PathFinderStats stats = finder.run([](const TruePath&) {});
@@ -305,7 +302,6 @@ TEST(FlightRecorderSelfcheck, CleanRunReconcilesAndCorruptionIsCaught) {
 
   PathFinderOptions opt;
   opt.num_threads = 4;
-  opt.justify_cache = JustifyCacheMode::kShared;
   opt.flight = &rec;
   opt.metrics = &metrics;
   opt.attribution = &attribution;

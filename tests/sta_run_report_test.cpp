@@ -42,15 +42,12 @@ struct FullRun {
   std::vector<util::TraceEvent> trace_events;
 };
 
-FullRun run_with_all_sinks(const netlist::Netlist& nl, JustifyTier tier,
-                           int threads) {
+FullRun run_with_all_sinks(const netlist::Netlist& nl, int threads) {
   util::MetricsRegistry registry;
   util::TraceCollector trace;
   FullRun out;
   PathFinderOptions opt;
   opt.num_threads = threads;
-  opt.justify_cache = JustifyCacheMode::kShared;
-  opt.justify_tier = tier;
   opt.metrics = &registry;
   opt.trace = &trace;
   opt.attribution = &out.attribution;
@@ -86,17 +83,14 @@ std::string render(const netlist::Netlist& nl, const PathFinderOptions* opt,
 TEST(RunReport, ValidatesAgainstDocumentedSchema) {
   const netlist::Netlist nl = generated_circuit(7);
   PathFinderOptions opt;
-  opt.justify_cache = JustifyCacheMode::kShared;
-  const FullRun run = run_with_all_sinks(nl, JustifyTier::kBoth, 4);
+  const FullRun run = run_with_all_sinks(nl, 4);
   const std::string json = render(nl, &opt, run);
 
   EXPECT_TRUE(testing::is_valid_json(json)) << json;
   for (const char* key :
        {"\"schema\": \"sasta-run-report-v1\"", "\"circuit\"", "\"options\"",
-        "\"totals\"", "\"cache\"", "\"controller\"", "\"attribution\"",
-        "\"sources\"", "\"hot_gates\"", "\"workers\"", "\"metrics\"",
-        "\"refutes_per_escalation\"", "\"shard_occupancy\"",
-        "\"escalations_vetoed\""}) {
+        "\"totals\"", "\"attribution\"", "\"sources\"", "\"hot_gates\"",
+        "\"workers\"", "\"metrics\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
 }
@@ -111,8 +105,8 @@ TEST(RunReport, EmptyInputsRenderSchemaStableSkeleton) {
   const std::string json = os.str();
   EXPECT_TRUE(testing::is_valid_json(json)) << json;
   for (const char* key :
-       {"\"schema\"", "\"options\"", "\"totals\"", "\"cache\"",
-        "\"controller\"", "\"attribution\"", "\"workers\"", "\"metrics\""}) {
+       {"\"schema\"", "\"options\"", "\"totals\"", "\"attribution\"",
+        "\"workers\"", "\"metrics\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
 }
@@ -123,7 +117,7 @@ TEST(RunReport, EmptyInputsRenderSchemaStableSkeleton) {
 TEST(RunReport, AttributionReconcilesWithAggregateStats) {
   const netlist::Netlist nl = generated_circuit(11);
   for (const int threads : {1, 4}) {
-    const FullRun run = run_with_all_sinks(nl, JustifyTier::kBoth, threads);
+    const FullRun run = run_with_all_sinks(nl, threads);
     long src_trials = 0, src_backtracks = 0, src_paths = 0, src_limited = 0;
     for (const SearchAttribution::SourceCost& r : run.attribution.sources) {
       if (r.source == netlist::kNoId) continue;
@@ -137,23 +131,11 @@ TEST(RunReport, AttributionReconcilesWithAggregateStats) {
     EXPECT_EQ(src_paths, run.stats.paths_recorded);
     EXPECT_EQ(src_limited, run.stats.justify_limited);
 
-    long gate_trials = 0, gate_prunes = 0, gate_escalations = 0;
+    long gate_trials = 0;
     for (const SearchAttribution::GateCost& g : run.attribution.gates) {
       gate_trials += g.vector_trials;
-      gate_prunes += g.cache_prunes;
-      gate_escalations += g.solver_escalations;
     }
     EXPECT_EQ(gate_trials, run.stats.vector_trials);
-    EXPECT_EQ(gate_prunes, run.stats.cache_prunes);
-    EXPECT_EQ(gate_escalations, run.stats.solver_escalations);
-
-    // The shared cache's occupancy never exceeds its inserts.
-    long occupied = 0;
-    for (const std::size_t n : run.attribution.cache_shards) {
-      occupied += static_cast<long>(n);
-    }
-    EXPECT_GT(occupied, 0);
-    EXPECT_LE(occupied, run.stats.cache_inserts);
   }
 }
 
@@ -162,39 +144,23 @@ TEST(RunReport, AttributionReconcilesWithAggregateStats) {
 TEST(RunReport, RenderingIsDeterministic) {
   const netlist::Netlist nl = generated_circuit(7);
   PathFinderOptions opt;
-  const FullRun run = run_with_all_sinks(nl, JustifyTier::kBoth, 4);
+  const FullRun run = run_with_all_sinks(nl, 4);
   EXPECT_EQ(render(nl, &opt, run), render(nl, &opt, run));
 }
 
-// The adaptive controller surfaces in both artifacts: the report's
-// controller section flips active and carries the snapshot; the profile
-// summary names its state.
-TEST(RunReport, ControllerSectionReflectsAdaptiveTier) {
+// The --profile summary names the top sources and the hot gates, in
+// trial order.
+TEST(RunReport, ProfileSummaryListsSourcesAndHotGates) {
   const netlist::Netlist nl = generated_circuit(11);
-  const FullRun both = run_with_all_sinks(nl, JustifyTier::kBoth, 1);
-  const FullRun adaptive = run_with_all_sinks(nl, JustifyTier::kAdaptive, 1);
-  EXPECT_FALSE(both.attribution.controller_active);
-  EXPECT_TRUE(adaptive.attribution.controller_active);
-  // The controller's own ledger agrees with the stats counters.
-  EXPECT_EQ(adaptive.attribution.controller.escalations,
-            adaptive.stats.solver_escalations);
-  EXPECT_EQ(adaptive.attribution.controller.refutes,
-            adaptive.stats.escalation_refutes);
-  EXPECT_EQ(adaptive.attribution.controller.vetoes,
-            adaptive.stats.escalations_vetoed);
-
-  const std::string json = render(nl, nullptr, adaptive);
-  EXPECT_NE(json.find("\"active\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"payoff\""), std::string::npos);
-
+  const FullRun run = run_with_all_sinks(nl, 1);
   RunReportInputs in;
   in.circuit = nl.name();
   in.netlist = &nl;
-  in.stats = &adaptive.stats;
-  in.attribution = &adaptive.attribution;
+  in.stats = &run.stats;
+  in.attribution = &run.attribution;
   const std::string profile = format_profile_summary(in);
-  EXPECT_NE(profile.find("controller:"), std::string::npos);
-  EXPECT_NE(profile.find("hot gates"), std::string::npos);
+  EXPECT_NE(profile.find("top sources"), std::string::npos) << profile;
+  EXPECT_NE(profile.find("hot gates"), std::string::npos) << profile;
 }
 
 }  // namespace

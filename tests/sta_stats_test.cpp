@@ -17,15 +17,9 @@ PathFinderStats sample(long base) {
   s.backtracks = base + 4;
   s.vector_trials = base + 5;
   s.justify_limited = base + 6;
-  s.cache_hits = base + 7;
-  s.cache_misses = base + 8;
-  s.cache_prunes = base + 9;
-  s.cache_inserts = base + 10;
-  s.cache_insert_races = base + 11;
-  s.cache_full_drops = base + 12;
-  s.tasks_spawned = base + 13;
-  s.tasks_stolen = base + 14;
-  s.steal_failures = base + 15;
+  s.tasks_spawned = base + 7;
+  s.tasks_stolen = base + 8;
+  s.steal_failures = base + 9;
   s.cpu_seconds = static_cast<double>(base);
   return s;
 }
@@ -39,15 +33,9 @@ TEST(PathFinderStats, CounterFieldsSum) {
   EXPECT_EQ(total.backtracks, 14 + 104);
   EXPECT_EQ(total.vector_trials, 15 + 105);
   EXPECT_EQ(total.justify_limited, 16 + 106);
-  EXPECT_EQ(total.cache_hits, 17 + 107);
-  EXPECT_EQ(total.cache_misses, 18 + 108);
-  EXPECT_EQ(total.cache_prunes, 19 + 109);
-  EXPECT_EQ(total.cache_inserts, 20 + 110);
-  EXPECT_EQ(total.cache_insert_races, 21 + 111);
-  EXPECT_EQ(total.cache_full_drops, 22 + 112);
-  EXPECT_EQ(total.tasks_spawned, 23 + 113);
-  EXPECT_EQ(total.tasks_stolen, 24 + 114);
-  EXPECT_EQ(total.steal_failures, 25 + 115);
+  EXPECT_EQ(total.tasks_spawned, 17 + 107);
+  EXPECT_EQ(total.tasks_stolen, 18 + 108);
+  EXPECT_EQ(total.steal_failures, 19 + 109);
 }
 
 TEST(PathFinderStats, CpuSecondsMergesAsMax) {

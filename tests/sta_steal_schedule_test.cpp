@@ -4,9 +4,8 @@
 // in the results: whichever worker executes whichever frontier chunk, the
 // enumerated path set, its order, every delay bit, the course census, and
 // the rendered timing report are bit-identical to --schedule=source.  The
-// battery locks that down across the full interaction matrix (schedule x
-// justify-cache x thread count) on seeded random netlists,
-// then proves report-byte identity on c17 and a c432-scale circuit through
+// battery locks that down across the schedule x thread-count matrix on
+// seeded random netlists, then proves report-byte identity on c17 and a c432-scale circuit through
 // the StaTool pipeline with N-worst pruning armed.
 #include <gtest/gtest.h>
 
@@ -62,11 +61,10 @@ struct EnumRun {
 };
 
 EnumRun enumerate(const netlist::Netlist& nl, ScheduleMode schedule,
-                  int threads, JustifyCacheMode cache) {
+                  int threads) {
   PathFinderOptions opt;
   opt.schedule = schedule;
   opt.num_threads = threads;
-  opt.justify_cache = cache;
   PathFinder finder(nl, testing::test_charlib("90nm"), opt);
   EnumRun run;
   std::vector<TruePath> paths;
@@ -76,55 +74,42 @@ EnumRun enumerate(const netlist::Netlist& nl, ScheduleMode schedule,
 }
 
 // The headline property: on seeded random netlists, every point of the
-// schedule x justify-cache x threads matrix enumerates byte-identical
-// paths in identical order with identical course censuses, and without
-// the cache the steal schedule's search cost (trials, backtracks) equals
-// the source schedule's — stealing moves work between workers, it never
-// changes the work.
+// schedule x threads matrix enumerates byte-identical paths in identical
+// order with identical course censuses, and the steal schedule's search
+// cost (trials, backtracks) equals the source schedule's — stealing moves
+// work between workers, it never changes the work.
 TEST(StealScheduleDifferential, MatrixIsResultIdentical) {
   for (const std::uint64_t seed : {2u, 9u, 17u, 23u, 31u}) {
     const netlist::Netlist nl = generated_circuit(seed);
-    const EnumRun base =
-        enumerate(nl, ScheduleMode::kSource, 1, JustifyCacheMode::kOff);
+    const EnumRun base = enumerate(nl, ScheduleMode::kSource, 1);
     ASSERT_FALSE(base.fingerprints.empty()) << "seed " << seed;
 
     for (const ScheduleMode schedule :
          {ScheduleMode::kSource, ScheduleMode::kSteal}) {
-      for (const JustifyCacheMode cache :
-           {JustifyCacheMode::kOff, JustifyCacheMode::kShared}) {
-        for (const int threads : {1, 4, 8}) {
-          const EnumRun run = enumerate(nl, schedule, threads, cache);
-          const std::string where =
-              "seed " + std::to_string(seed) + " schedule " +
-              std::to_string(static_cast<int>(schedule)) + " cache " +
-              std::to_string(static_cast<int>(cache)) + " threads " +
-              std::to_string(threads);
-          EXPECT_EQ(run.fingerprints, base.fingerprints) << where;
-          EXPECT_EQ(run.stats.paths_recorded, base.stats.paths_recorded)
+      for (const int threads : {1, 4, 8}) {
+        const EnumRun run = enumerate(nl, schedule, threads);
+        const std::string where =
+            "seed " + std::to_string(seed) + " schedule " +
+            std::to_string(static_cast<int>(schedule)) + " threads " +
+            std::to_string(threads);
+        EXPECT_EQ(run.fingerprints, base.fingerprints) << where;
+        EXPECT_EQ(run.stats.paths_recorded, base.stats.paths_recorded)
+            << where;
+        EXPECT_EQ(run.stats.courses, base.stats.courses) << where;
+        EXPECT_EQ(run.stats.multi_vector_courses,
+                  base.stats.multi_vector_courses)
+            << where;
+        EXPECT_EQ(run.stats.vector_trials, base.stats.vector_trials)
+            << where;
+        EXPECT_EQ(run.stats.backtracks, base.stats.backtracks) << where;
+        if (schedule == ScheduleMode::kSource) {
+          EXPECT_EQ(run.stats.tasks_spawned, 0) << where;
+          EXPECT_EQ(run.stats.tasks_stolen, 0) << where;
+          EXPECT_EQ(run.stats.steal_failures, 0) << where;
+        } else if (threads > 1) {
+          EXPECT_GT(run.stats.tasks_spawned, 0) << where;
+          EXPECT_LE(run.stats.tasks_stolen, run.stats.tasks_spawned)
               << where;
-          EXPECT_EQ(run.stats.courses, base.stats.courses) << where;
-          EXPECT_EQ(run.stats.multi_vector_courses,
-                    base.stats.multi_vector_courses)
-              << where;
-          if (cache == JustifyCacheMode::kOff) {
-            // Without the cache the trial stream is schedule- and
-            // thread-independent outright.
-            EXPECT_EQ(run.stats.vector_trials, base.stats.vector_trials)
-                << where;
-            EXPECT_EQ(run.stats.backtracks, base.stats.backtracks) << where;
-          } else {
-            EXPECT_LE(run.stats.vector_trials, base.stats.vector_trials)
-                << where;
-          }
-          if (schedule == ScheduleMode::kSource) {
-            EXPECT_EQ(run.stats.tasks_spawned, 0) << where;
-            EXPECT_EQ(run.stats.tasks_stolen, 0) << where;
-            EXPECT_EQ(run.stats.steal_failures, 0) << where;
-          } else if (threads > 1) {
-            EXPECT_GT(run.stats.tasks_spawned, 0) << where;
-            EXPECT_LE(run.stats.tasks_stolen, run.stats.tasks_spawned)
-                << where;
-          }
         }
       }
     }
@@ -168,8 +153,8 @@ TEST(StealScheduleDifferential, C17ReportBytesIdenticalAcrossSchedules) {
 }
 
 // Same report-byte identity at c432 scale with the N-worst pruned search
-// armed — the pruning floor and memo cache both have to stay sound while
-// frontier chunks migrate between workers.  (The *recorded superset*
+// armed — the pruning floor has to stay sound while frontier chunks
+// migrate between workers.  (The *recorded superset*
 // under n_worst is thread-count-dependent by design, so the comparison is
 // the kept top-N report, not raw search counters.)
 TEST(StealScheduleDifferential, C432ScalePrunedReportBytesIdentical) {

@@ -192,7 +192,7 @@ TEST(FlightDump, DumpToPathEmitsParseableV1Format) {
   rec.lane(0).set_gate(12, 2);
   rec.lane(0).count_trial();
   rec.lane(0).record(FlightEventKind::kTrial, 1, 12, 2);
-  rec.lane(1).record(FlightEventKind::kCacheHit, 4, 12, 3);
+  rec.lane(1).record(FlightEventKind::kBacktrackBurst, 4, 12, 3);
   rec.note_stall();
 
   const std::string path = temp_path("sasta_flight_unit.dump");
@@ -214,7 +214,8 @@ TEST(FlightDump, DumpToPathEmitsParseableV1Format) {
   EXPECT_NE(
       text.find("lane 0 event 0 ts "), std::string::npos);
   EXPECT_NE(text.find(" kind trial arg 1 a 12 b 2\n"), std::string::npos);
-  EXPECT_NE(text.find(" kind cache_hit arg 4 a 12 b 3\n"), std::string::npos);
+  EXPECT_NE(text.find(" kind backtrack_burst arg 4 a 12 b 3\n"),
+            std::string::npos);
   EXPECT_EQ(text.substr(text.size() - 4), "end\n");
 }
 
@@ -223,9 +224,13 @@ TEST(FlightDump, KindNamesCoverAllKindsAndFallBackOnGarbage) {
                    static_cast<std::uint8_t>(FlightEventKind::kTrial)),
                "trial");
   EXPECT_STREQ(flight_event_kind_name(0xEE), "?");
-  // Kind values are part of the dump format: retired 8 stays unnamed and
-  // the kinds after it keep their numbers.
-  EXPECT_STREQ(flight_event_kind_name(8), "?");
+  // Kind values are part of the dump format: retired 4-8 stay unnamed and
+  // the kinds after them keep their numbers.
+  for (int retired = 4; retired <= 8; ++retired) {
+    EXPECT_STREQ(flight_event_kind_name(static_cast<std::uint8_t>(retired)),
+                 "?")
+        << retired;
+  }
   EXPECT_EQ(static_cast<int>(FlightEventKind::kBacktrackBurst), 9);
   EXPECT_EQ(static_cast<int>(FlightEventKind::kTaskSteal), 12);
 }

@@ -67,6 +67,22 @@ TEST(JsonParse, ErrorsCarryByteOffsets) {
   parse_ok("{\"a\": 1}  ");
 }
 
+// Nesting is bounded: a hostile line of 10^6 '[' (or '{"a":' chains) is
+// refused with an error instead of recursing until the stack overflows,
+// while the deepest allowed document still parses.
+TEST(JsonParse, NestingDepthIsBounded) {
+  const int max = JsonValue::kMaxDepth;
+  parse_ok(std::string(max, '[') + std::string(max, ']'));
+  EXPECT_NE(parse_err(std::string(max + 1, '[') + std::string(max + 1, ']'))
+                .find("nesting too deep"),
+            std::string::npos);
+  EXPECT_NE(parse_err(std::string(1000000, '[')).find("nesting too deep"),
+            std::string::npos);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_NE(parse_err(objects).find("nesting too deep"), std::string::npos);
+}
+
 TEST(JsonSerialize, SingleLineInsertionOrdered) {
   JsonValue obj = JsonValue::object();
   obj.set("z", JsonValue::number(1L));

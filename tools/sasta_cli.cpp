@@ -23,27 +23,6 @@
 //                        Results are bit-identical either way — stealing
 //                        changes who executes the work, never what is
 //                        searched or the order results are reported in.
-//   --justify-cache M    off | shared  (default shared): memoize
-//                        fresh-state justification verdicts in one
-//                        lock-free table across all worker threads, so
-//                        infeasible sensitization conjunctions are refuted
-//                        once instead of per source/thread.  Results are
-//                        bit-identical either way; "off" is the uncached
-//                        reference search.
-//   --justify-cache-slots N  memo table capacity in entries (default 65536)
-//   --justify-tier T     implication | both | adaptive  (default both): how
-//                        memo-cache misses are refuted.  "implication" runs
-//                        only the zero-backtracking implication closure;
-//                        "both" tries the closure first and escalates the
-//                        survivors to the budgeted backtracking solver;
-//                        "adaptive" is "both" behind an online payoff
-//                        controller that stops escalating when
-//                        refutes-per-escalation drops below
-//                        --escalation-payoff.  Reported paths are
-//                        bit-identical at every tier.
-//   --escalation-payoff X  adaptive tier: minimum smoothed
-//                        refutes-per-escalation to keep the solver tier
-//                        enabled (default 0.1; 0 = never disable)
 //   --baseline           also run the two-step commercial-style baseline
 //   --golden             verify reported paths with transistor-level
 //                        simulation
@@ -79,8 +58,8 @@
 //                        progress is made for S seconds (default off)
 //   --serve              run as a persistent timing daemon instead of one
 //                        batch analysis: bind --socket, keep characterized
-//                        libraries / netlists / memo caches warm across
-//                        requests, and answer sasta-rpc-v1 queries
+//                        libraries / netlists / per-source results warm
+//                        across requests, and answer sasta-rpc-v1 queries
 //                        (docs/SERVER.md).  Search options on the command
 //                        line become the per-session defaults; requests
 //                        may override threads / max_seconds.  SIGINT (or a
@@ -96,7 +75,7 @@
 //                        activity slots against the aggregate stats; any
 //                        mismatch prints a diff and exits 3
 //   --profile            print the human-readable search-cost profile (top
-//                        sources, hot gates, cache/tier/controller summary)
+//                        sources by seconds, hot gates by vector trials)
 //   --progress [every 2s] heartbeat: sources done/total, trials/sec, elapsed
 //   --log-level L        debug | info | warn | error    (default warn;
 //                        -q wins, --log-level wins over the implicit info)
@@ -179,10 +158,6 @@ struct Options {
             << " [--tech T] [--paths N] [--prune] [--max-seconds S]\n"
                "       [--budget B] [--threads N] [--schedule source|steal]\n"
                "       [--baseline] [--golden]\n"
-               "       [--justify-cache off|shared]\n"
-               "       [--justify-cache-slots N]\n"
-               "       [--justify-tier implication|both|adaptive]\n"
-               "       [--escalation-payoff X]\n"
                "       [--full-char]\n"
                "       [--temp T] [--vdd V] [--report] [--required NS]\n"
                "       [--corners] [--write-verilog F] [--write-sdf F] [-q]\n"
@@ -251,34 +226,6 @@ Options parse_args(int argc, char** argv) {
                   << "' (source | steal)\n";
         usage(argv[0]);
       }
-    } else if (a == "--justify-cache") {
-      const std::string mode = value();
-      if (mode == "off") {
-        f.justify_cache = sasta::sta::JustifyCacheMode::kOff;
-      } else if (mode == "shared") {
-        f.justify_cache = sasta::sta::JustifyCacheMode::kShared;
-      } else {
-        std::cerr << "unknown --justify-cache mode '" << mode
-                  << "' (off | shared)\n";
-        usage(argv[0]);
-      }
-    } else if (a == "--justify-cache-slots") {
-      f.justify_cache_capacity = static_cast<std::size_t>(long_value(1));
-    } else if (a == "--justify-tier") {
-      const std::string tier = value();
-      if (tier == "implication") {
-        f.justify_tier = sasta::sta::JustifyTier::kImplication;
-      } else if (tier == "both") {
-        f.justify_tier = sasta::sta::JustifyTier::kBoth;
-      } else if (tier == "adaptive") {
-        f.justify_tier = sasta::sta::JustifyTier::kAdaptive;
-      } else {
-        std::cerr << "unknown --justify-tier '" << tier
-                  << "' (implication | both | adaptive)\n";
-        usage(argv[0]);
-      }
-    } else if (a == "--escalation-payoff") {
-      f.escalation_payoff = double_value(0.0);
     } else if (a == "--baseline") {
       o.baseline = true;
     } else if (a == "--golden") {
@@ -547,25 +494,6 @@ int main(int argc, char** argv) {
               << res.stats.multi_vector_courses << " multi-vector, "
               << res.stats.justify_limited << " budget drops"
               << (res.stats.truncated ? ", TRUNCATED" : "") << ")\n";
-    if (sopt.finder.justify_cache != sta::JustifyCacheMode::kOff) {
-      const long probes = res.stats.cache_hits + res.stats.cache_misses;
-      std::cout << "justify cache: " << res.stats.cache_prunes
-                << " trials pruned, " << res.stats.cache_hits << "/" << probes
-                << " probes hit ("
-                << util::format_percent(
-                       probes > 0
-                           ? static_cast<double>(res.stats.cache_hits) / probes
-                           : 0.0,
-                       1)
-                << "), " << res.stats.cache_inserts << " inserts, "
-                << res.stats.cache_insert_races << " races, "
-                << res.stats.cache_full_drops << " drops\n";
-      std::cout << "justify tiers: " << res.stats.implication_refutes
-                << " implication refutes, " << res.stats.solver_escalations
-                << " solver escalations, " << res.stats.subset_hits
-                << " subset hits, " << res.stats.negative_hits
-                << " negative hits\n";
-    }
     if (opt.profile) {
       sta::RunReportInputs profile_in;
       profile_in.circuit = nl.name();

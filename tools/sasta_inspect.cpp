@@ -207,17 +207,6 @@ std::string describe(const Dump& d, const Event& e) {
   } else if (e.kind == "trial") {
     os << "gate " << resolve_id(d.inst_names, e.a) << " pin " << e.arg
        << " depth " << e.b;
-  } else if (e.kind == "cache_hit") {
-    os << "gate " << resolve_id(d.inst_names, e.a) << " verdict " << e.arg
-       << " goals " << e.b;
-  } else if (e.kind == "cache_prune") {
-    os << "gate " << resolve_id(d.inst_names, e.a) << " pin " << e.arg
-       << " vector " << e.b;
-  } else if (e.kind == "escalation") {
-    os << "gate " << resolve_id(d.inst_names, e.a) << " verdict " << e.arg
-       << " backtracks " << e.b;
-  } else if (e.kind == "escalation_veto") {
-    os << "gate " << resolve_id(d.inst_names, e.a);
   } else if (e.kind == "backtrack_burst") {
     os << e.a << " backtracks, alive " << e.b;
   } else if (e.kind == "path_recorded") {
