@@ -58,39 +58,6 @@ std::string combo_key(const sta::TruePath& p) {
   return k;
 }
 
-// W copies of a subcircuit sharing one set of primary inputs: every PI's
-// cone becomes W independent heavy replicas, so each source's first fanout
-// frontier carries W-way splittable work.  This is the adversarial shape
-// for source-granular scheduling (few sources, huge cones) and the home
-// turf of --schedule=steal, which chunks those frontiers across workers.
-netlist::PrimNetlist replicate_shared_inputs(const netlist::PrimNetlist& sub,
-                                             int copies) {
-  netlist::PrimNetlist pn;
-  pn.name = "skewrep";
-  std::vector<int> shared(sub.num_signals(), netlist::kNoId);
-  for (const int in : sub.inputs) {
-    shared[in] = pn.add_signal(sub.signal_names[in]);
-    pn.inputs.push_back(shared[in]);
-  }
-  for (int w = 0; w < copies; ++w) {
-    std::vector<int> remap = shared;
-    for (int s = 0; s < sub.num_signals(); ++s) {
-      if (remap[s] == netlist::kNoId) {
-        remap[s] =
-            pn.add_signal("w" + std::to_string(w) + "_" + sub.signal_names[s]);
-      }
-    }
-    for (const netlist::PrimGate& g : sub.gates) {
-      netlist::PrimGate ng = g;
-      for (int& in : ng.inputs) in = remap[in];
-      ng.output = remap[g.output];
-      pn.gates.push_back(ng);
-    }
-    for (const int out : sub.outputs) pn.outputs.push_back(remap[out]);
-  }
-  return pn;
-}
-
 DevelopedRun run_developed(const netlist::Netlist& nl,
                            const charlib::CharLibrary& cl,
                            const tech::Technology& tech,
@@ -393,119 +360,6 @@ int run() {
                                         1)
                 << " (budget < 2%)\n";
     }
-  }
-
-  // Work-stealing scheduler: source-granular vs frontier-steal scheduling
-  // on a skewed circuit (few sources, wide splittable frontiers — the
-  // workload source-granularity starves on), thread-scaling both sides.
-  // Scheduling must be invisible in the results: the delivered path list is
-  // checked byte-identical against the sequential reference at every point.
-  // Sides are interleaved and the best of reps is kept, same protocol as
-  // the recorder-overhead section.  Trajectory labels: "<name>/sched_source"
-  // and "<name>/sched_steal".
-  {
-    print_title("Work-stealing scheduler (--schedule source vs steal)");
-    const std::vector<int> swidths{14, 8, 9, 9, 9, 8, 8, 10};
-    print_row({"circuit", "threads", "src_s", "steal_s", "speedup", "spawned",
-               "stolen", "identical"},
-              swidths);
-
-    struct SchedSide {
-      double best = -1.0;
-      sta::PathFinderStats stats;
-      std::vector<std::string> keys;
-    };
-    const auto run_once = [&](const netlist::Netlist& nl,
-                              sta::ScheduleMode schedule, int threads,
-                              SchedSide* side) {
-      sta::PathFinderOptions opt;
-          opt.schedule = schedule;
-      opt.num_threads = threads;
-      sta::PathFinder finder(nl, cl, opt);
-      std::vector<std::string> keys;
-      util::Stopwatch watch;
-      side->stats = finder.run(
-          [&](const sta::TruePath& p) { keys.push_back(p.full_key(nl)); });
-      const double secs = watch.elapsed_seconds();
-      if (side->best < 0 || secs < side->best) side->best = secs;
-      if (side->keys.empty()) side->keys = std::move(keys);
-    };
-
-    struct SchedCircuit {
-      std::string name;
-      netlist::PrimNetlist prim;
-      std::vector<int> thread_counts;
-    };
-    std::vector<SchedCircuit> sched_circuits;
-    {
-      // The skewed headliner: W replicas of a 6-PI generated subcircuit
-      // sharing its inputs.  6 sources, each cone W-way splittable.
-      netlist::GeneratorProfile sub;
-      sub.name = "sub";
-      sub.num_inputs = 6;
-      sub.num_outputs = 6;
-      sub.num_gates = fast_mode() ? 60 : 120;
-      sub.depth = 8;
-      sub.seed = 7;
-      const int copies = fast_mode() ? 2 : 3;
-      sched_circuits.push_back(
-          {"skew" + std::to_string(copies) + "x" +
-               std::to_string(sub.num_gates),
-           replicate_shared_inputs(netlist::generate_iscas_like(sub), copies),
-           {1, 2, 4, 8}});
-    }
-    if (!fast_mode()) {
-      // Real-circuit datapoint: c432's 36 narrow-frontier sources are the
-      // favorable case for source scheduling; steal must hold its ground.
-      sched_circuits.push_back(
-          {"c432",
-           netlist::generate_iscas_like(netlist::iscas_profile("c432")),
-           {8}});
-    }
-
-    for (const SchedCircuit& sc : sched_circuits) {
-      const auto mapped = netlist::tech_map(sc.prim, library());
-      const netlist::Netlist& nl = mapped.netlist;
-      std::vector<std::string> reference_keys;
-      for (const int threads : sc.thread_counts) {
-        SchedSide source, steal;
-        const int reps = fast_mode() ? 1 : 2;
-        for (int rep = 0; rep < reps; ++rep) {
-          run_once(nl, sta::ScheduleMode::kSource, threads, &source);
-          run_once(nl, sta::ScheduleMode::kSteal, threads, &steal);
-        }
-        if (reference_keys.empty()) reference_keys = source.keys;
-        const bool identical = source.keys == reference_keys &&
-                               steal.keys == reference_keys;
-        bench_json.add({sc.name + "/sched_source", source.best,
-                        source.stats.vector_trials, threads});
-        bench_json.add({sc.name + "/sched_steal", steal.best,
-                        steal.stats.vector_trials, threads});
-        if (metrics != nullptr) {
-          const std::string base = "table6." + sc.name + ".sched.threads" +
-                                   std::to_string(threads);
-          const util::GaugeId src_g = metrics->gauge(base + ".source_seconds");
-          const util::GaugeId steal_g =
-              metrics->gauge(base + ".steal_seconds");
-          util::MetricsShard& shard = metrics->create_shard();
-          shard.set(src_g, source.best);
-          shard.set(steal_g, steal.best);
-        }
-        print_row({sc.name, std::to_string(threads),
-                   util::format_fixed(source.best, 3),
-                   util::format_fixed(steal.best, 3),
-                   util::format_fixed(source.best / steal.best, 2) + "x",
-                   std::to_string(steal.stats.tasks_spawned),
-                   std::to_string(steal.stats.tasks_stolen),
-                   identical ? "yes" : "NO (BUG)"},
-                  swidths);
-      }
-    }
-    std::cout << "(speedup = source wall / steal wall at the same thread "
-                 "count; > 1x needs that many\nhardware threads — the skewed "
-                 "circuit has only 6 sources, so source scheduling leaves\n"
-                 "workers idle while steal chunks each source's fanout "
-                 "frontier across them)\n";
   }
 
   if (metrics != nullptr) {

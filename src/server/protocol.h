@@ -12,6 +12,7 @@
 // does not document every one of them.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,6 +36,14 @@ inline constexpr char kMethodShutdown[] = "shutdown";
 inline constexpr char kEcoSwapGate[] = "swap_gate";
 inline constexpr char kEcoResizeCell[] = "resize_cell";
 inline constexpr char kEcoRetargetCorner[] = "retarget_corner";
+
+/// Longest request line the daemon buffers, in bytes, excluding the
+/// '\n'.  A longer line is answered with one kErrParse error (id null)
+/// naming this limit, and the connection is closed.  The cap sits far
+/// above any real request (a `load` carrying inline bench text for a
+/// large design is a few hundred KB) while bounding the memory one client
+/// can pin.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{64} << 20;
 
 // Error codes.
 inline constexpr char kErrParse[] = "E_PARSE";          ///< request not JSON

@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -159,31 +160,44 @@ void Server::write_line(Conn& conn, const std::string& line) {
   }
 }
 
-void Server::enqueue(std::shared_ptr<Conn> conn, std::string line) {
+void Server::enqueue(Pending item) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(Pending{std::move(conn), std::move(line)});
+    queue_.push_back(std::move(item));
   }
   cv_.notify_one();
 }
 
 void Server::reader_loop(std::shared_ptr<Conn> conn) {
+  // `buffer` holds the partial line; bytes before `scanned` are known to
+  // hold no '\n', so each received byte is scanned once.
   std::string buffer;
+  std::size_t scanned = 0;
   char chunk[4096];
   while (true) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
+    bool overlong = false;
     while (true) {
-      const std::size_t nl = buffer.find('\n', start);
+      const std::size_t nl = buffer.find('\n', std::max(start, scanned));
       if (nl == std::string::npos) break;
+      if (nl - start > kMaxRequestLineBytes) {
+        overlong = true;
+        break;
+      }
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) enqueue(conn, std::move(line));
+      if (!line.empty()) enqueue(Pending{conn, std::move(line)});
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (overlong || buffer.size() > kMaxRequestLineBytes) {
+      enqueue(Pending{conn, std::string(), /*overlong=*/true});
+      break;
+    }
   }
 }
 
@@ -400,6 +414,17 @@ util::JsonValue Server::handle_load(const util::JsonValue& p) {
 void Server::dispatch(const Pending& item, bool draining) {
   util::Stopwatch watch;
   shard_->add(m_requests_);
+  if (item.overlong) {
+    shard_->add(m_errors_);
+    write_line(*item.conn,
+               make_error(-1, false, kErrParse,
+                          "request line exceeds " +
+                              std::to_string(kMaxRequestLineBytes) +
+                              " bytes without a newline; closing")
+                   .dump());
+    ::shutdown(item.conn->fd, SHUT_RDWR);
+    return;
+  }
   long id = -1;
   bool has_id = false;
   std::string code;

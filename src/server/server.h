@@ -46,7 +46,7 @@ struct ServerOptions {
   /// Filesystem path of the AF_UNIX socket.  Created on run(), unlinked
   /// on shutdown (a stale path from a crashed predecessor is replaced).
   std::string socket_path;
-  /// Per-session search/delay defaults (threads, budget, schedule, flight
+  /// Per-session search/delay defaults (threads, budget, flight
   /// recorder, ...).
   Session::Config session_defaults;
   /// Characterization defaults for `load` requests that do not override.
@@ -95,11 +95,14 @@ class Server {
   struct Pending {
     std::shared_ptr<Conn> conn;
     std::string line;
+    /// The client sent a line over kMaxRequestLineBytes: answer E_PARSE
+    /// and close the connection (in FIFO order after its earlier requests).
+    bool overlong = false;
   };
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Conn> conn);
-  void enqueue(std::shared_ptr<Conn> conn, std::string line);
+  void enqueue(Pending item);
   void dispatch(const Pending& item, bool draining);
   void write_line(Conn& conn, const std::string& line);
   void begin_drain();

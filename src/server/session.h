@@ -9,8 +9,7 @@
 //   search   re-enumerate true paths, but only for *dirty* sources (cold
 //            start: all of them; warm repeat: none; after an ECO: the
 //            cones sta::compute_eco_impact dirties).  Runs the unchanged
-//            PathFinder (either schedule) restricted via
-//            PathFinderOptions::source_filter.
+//            PathFinder restricted via PathFinderOptions::source_filter.
 //   re-time  recompute TimedPaths for sources whose timing is stale
 //            (delay options or drive scales moved) from cached TruePaths.
 //   merge    replay every per-source buffer, in source-PI order, through

@@ -74,11 +74,9 @@ Justifier::Result Justifier::justify_all_inner(std::span<const Goal> goals,
     budget_start_ = backtracks_;
     const Result sub = solve_component(component, res.alive);
     res.backtrack_limited = res.backtrack_limited || sub.backtrack_limited;
+    res.stopped = sub.stopped;
     res.alive &= sub.alive;
-    if (res.alive == kScenarioNone) {
-      res.alive = kScenarioNone;
-      return res;
-    }
+    if (res.alive == kScenarioNone) return res;
   }
   return res;
 }
@@ -201,12 +199,19 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
     }
     state_.mark_justified(net);
     const Result sub = solve(goals, idx + 1, alive);
-    if (sub.alive != kScenarioNone || sub.backtrack_limited) return sub;
+    if (sub.alive != kScenarioNone || sub.backtrack_limited || sub.stopped) {
+      return sub;
+    }
     state_.rollback(mark);
     goals.resize(saved_goals);
     ++backtracks_;
     if (budget_ >= 0 && backtracks_ - budget_start_ > budget_) {
       res.backtrack_limited = true;
+      return res;
+    }
+    if (stop_check_ && backtracks_ % kStopPollBacktracks == 0 &&
+        stop_check_()) {
+      res.stopped = true;
       return res;
     }
   }

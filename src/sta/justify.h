@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -36,6 +37,11 @@ namespace sasta::sta {
 /// calls worth seeing in a post-mortem timeline.
 inline constexpr long kBacktrackBurstThreshold = 128;
 
+/// The stop check (see Justifier::set_stop_check) is polled once per this
+/// many backtracks: often enough that a stopped run ends within
+/// milliseconds, rarely enough to stay off the solver's profile.
+inline constexpr long kStopPollBacktracks = 1024;
+
 class Justifier {
  public:
   /// `guide` (optional, borrowed) orders cube choices by SCOAP
@@ -50,6 +56,8 @@ class Justifier {
   struct Result {
     unsigned alive = kScenarioNone;  ///< scenarios with a found witness
     bool backtrack_limited = false;  ///< gave up due to the budget
+    bool stopped = false;            ///< abandoned at the stop check: no
+                                     ///< verdict, not a budget drop
     long backtracks_used = 0;        ///< backtracks this call consumed —
                                      ///< the search-cost profiler's
                                      ///< per-solve attribution unit
@@ -91,6 +99,14 @@ class Justifier {
   /// kBacktrackBurst event.  Observational only — never read back.
   void set_recorder(util::FlightLane* rec) { rec_ = rec; }
 
+  /// Optional stop authority, polled every kStopPollBacktracks backtracks.
+  /// When it returns true the current solve is abandoned: the result has
+  /// no live scenario and `stopped` set.  Without one, solves only end at
+  /// the budget or at a verdict.
+  void set_stop_check(std::function<bool()> stop) {
+    stop_check_ = std::move(stop);
+  }
+
  private:
   Result justify_all_inner(std::span<const Goal> goals, unsigned alive,
                            int backtrack_budget);
@@ -102,6 +118,7 @@ class Justifier {
   ImplicationEngine& engine_;
   const netlist::Controllability* guide_ = nullptr;
   util::FlightLane* rec_ = nullptr;
+  std::function<bool()> stop_check_;
   const std::vector<std::vector<std::uint64_t>>* supports_ = nullptr;
   int excluded_bit_ = -1;
   long backtracks_ = 0;

@@ -11,9 +11,6 @@ PathFinderStats& PathFinderStats::operator+=(const PathFinderStats& other) {
   backtracks += other.backtracks;
   vector_trials += other.vector_trials;
   justify_limited += other.justify_limited;
-  tasks_spawned += other.tasks_spawned;
-  tasks_stolen += other.tasks_stolen;
-  steal_failures += other.steal_failures;
   cpu_seconds = std::max(cpu_seconds, other.cpu_seconds);
   truncated = truncated || other.truncated;
   return *this;

@@ -55,15 +55,6 @@ struct PathFinderStats {
   long vector_trials = 0;         ///< sensitization vectors attempted
   long justify_limited = 0;       ///< solves dropped at the backtrack budget
 
-  // Work-stealing scheduler (zero when PathFinderOptions::schedule is
-  // kSource).  Stealing redistributes who executes which frontier task but
-  // never what is searched, so every result-bearing counter above is
-  // unchanged; tasks_stolen and steal_failures depend on thread timing and
-  // are the only interleaving-dependent counters here.
-  long tasks_spawned = 0;   ///< frontier tasks created across all sources
-  long tasks_stolen = 0;    ///< tasks executed by a non-claiming worker
-  long steal_failures = 0;  ///< victim scans that found nothing stealable
-
   double cpu_seconds = 0.0;       ///< wall clock of run(); on merge, the max
   bool truncated = false;         ///< a limit fired before exhaustion
 

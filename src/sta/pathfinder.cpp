@@ -1,6 +1,7 @@
 #include "sta/pathfinder.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <limits>
 #include <sstream>
 #include <unordered_map>
@@ -24,7 +25,17 @@ struct PathFinder::Worker {
         state(owner.nl_.num_nets()),
         engine(owner.nl_, state),
         justifier(owner.nl_, state, engine,
-                  owner.opt_.use_scoap_guide ? &owner.guide_ : nullptr) {}
+                  owner.opt_.use_scoap_guide ? &owner.guide_ : nullptr) {
+    // A long solve must not outlive the run's deadline or a SIGINT: the
+    // justifier polls the same stop authority as the DFS.
+    justifier.set_stop_check([this] {
+      return pf.stop_.load(std::memory_order_relaxed) ||
+             pf.deadline_hit(*this);
+    });
+  }
+  // The justifier's stop check holds this worker's address.
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
 
   /// Lazily arms the per-gate attribution tallies (no-op when the caller
   /// did not request attribution, so the hot path stays a .empty() test).
@@ -44,13 +55,12 @@ struct PathFinder::Worker {
   std::vector<std::array<Arrival, 2>> arrival_stack;
   netlist::NetId current_source = netlist::kNoId;
   PathFinderStats stats;
-  /// False under the steal scheduler: a course's vector combos can span
-  /// frontier tasks executed by different workers, so courses are tallied
-  /// on the canonically merged stream instead (see run_steal).
-  bool count_courses = true;
+  /// Course census of the sources this worker searched.  Course keys are
+  /// source-prefixed and a source never spans workers, so the per-worker
+  /// tallies sum to the sequential census.
   std::unordered_map<std::string, int> course_counts;
-  /// Parallel mode: per-source output buffer.  Null in sequential mode,
-  /// where paths stream straight to the caller's sink.
+  /// Per-source output buffer when several workers run.  Null when the
+  /// single worker runs alone, where paths stream straight to the sink.
   std::vector<TruePath>* out = nullptr;
   /// Observability: this worker's private metrics shard (null = metrics
   /// off) and its lane index for trace spans / per-worker metrics.
@@ -243,11 +253,9 @@ void PathFinder::record(Worker& w, netlist::NetId sink_net, unsigned alive) {
       w.metrics->observe(justify_depth_hist_,
                          static_cast<double>(w.goal_stack.size()));
     }
-    if (w.count_courses) {
-      const int count = ++w.course_counts[p.course_key(nl_)];
-      if (count == 1) ++w.stats.courses;
-      if (count == 2) ++w.stats.multi_vector_courses;
-    }
+    const int count = ++w.course_counts[p.course_key(nl_)];
+    if (count == 1) ++w.stats.courses;
+    if (count == 2) ++w.stats.multi_vector_courses;
 
     // N-worst bookkeeping: tighten the shared pruning floor with this
     // path's estimated delay.
@@ -270,14 +278,6 @@ void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
 
   if (nl_.net(net).is_primary_output) record(w, net, alive);
 
-  extend_over(w, net, alive, 0, std::numeric_limits<std::size_t>::max());
-}
-
-void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
-                             std::size_t cand_begin, std::size_t cand_end) {
-  std::size_t ci = 0;
-  bool past_end = false;
-
   for (const netlist::Fanout& f : nl_.net(net).fanouts) {
     if (stop_.load(std::memory_order_relaxed)) return;
     const netlist::Instance& inst = nl_.instance(f.inst);
@@ -285,12 +285,6 @@ void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
     const charlib::CellTiming& timing = charlib_.timing(inst.cell->name());
     const auto& vectors = timing.vectors.at(f.pin);
     for (const charlib::SensitizationVector& vec : vectors) {
-      const std::size_t cand_index = ci++;
-      if (cand_index >= cand_end) {
-        past_end = true;  // contiguous range: nothing further is ours
-        break;
-      }
-      if (cand_index < cand_begin) continue;
       if (stop_.load(std::memory_order_relaxed)) return;
       ++w.stats.vector_trials;
       if (!w.gate_trials.empty()) ++w.gate_trials[f.inst];
@@ -357,6 +351,8 @@ void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
           if (r.alive == kScenarioBoth) {
             feasible = kScenarioBoth;
             pending = kScenarioNone;
+          } else if (r.stopped) {
+            pending = kScenarioNone;  // the run is ending: no verdict
           }
           // else: one direction may still be satisfiable under different
           // choices - resolve each bit independently below.
@@ -369,6 +365,7 @@ void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
           w.state.rollback(m2);
           if (r.backtrack_limited) ++w.stats.justify_limited;
           if (r.alive & bit) feasible |= bit;
+          if (r.stopped) break;
         }
 
         // N-worst branch-and-bound: advance arrivals through this arc and
@@ -416,7 +413,6 @@ void PathFinder::extend_over(Worker& w, netlist::NetId net, unsigned alive,
       w.state.rollback(mark);
       w.goal_stack.resize(saved_goals);
     }
-    if (past_end) break;
   }
 }
 
@@ -574,7 +570,7 @@ void PathFinder::run_source(Worker& w, std::size_t source_index,
   maybe_heartbeat();
 }
 
-void PathFinder::begin_source_state(Worker& w, netlist::NetId source) {
+void PathFinder::search_source(Worker& w, netlist::NetId source) {
   w.state.reset();
   w.goal_stack.clear();
   w.steps.clear();
@@ -594,313 +590,50 @@ void PathFinder::begin_source_state(Worker& w, netlist::NetId source) {
       w.engine.assign_dual(source, NineVal::rise(), NineVal::fall());
   SASTA_CHECK(r.conflict == kScenarioNone)
       << " transition launch conflicted on a fresh state";
-}
-
-void PathFinder::search_source(Worker& w, netlist::NetId source) {
-  begin_source_state(w, source);
   extend(w, source, opt_.directions & kScenarioBoth);
   w.stats.backtracks += w.justifier.backtracks();
 }
 
-std::size_t PathFinder::count_frontier_candidates(netlist::NetId net) const {
-  std::size_t n = 0;
-  for (const netlist::Fanout& f : nl_.net(net).fanouts) {
-    const netlist::Instance& inst = nl_.instance(f.inst);
-    if (!reach_[inst.output]) continue;
-    n += charlib_.timing(inst.cell->name()).vectors.at(f.pin).size();
-  }
-  return n;
-}
-
 namespace {
 
-/// One stealable unit of a source's search: a contiguous range of the
-/// source's first-frontier candidates (flat (reachable fanout) x (vector)
-/// indices in exact trial order).  The task carries no captured search
-/// state — the launch prefix is a pure function of the source PI, replayed
-/// by begin_source_state() — so a task is trivially relocatable to any
-/// worker.
-struct FrontierTask {
-  std::uint32_t source_index = 0;
-  std::uint32_t chunk_index = 0;
-  std::uint32_t cand_begin = 0;
-  std::uint32_t cand_end = 0;
+/// Admission to one parallel run for its helper tasks.  A helper enters
+/// only while the run is open; the caller closes the run once it has no
+/// source left to claim and then waits for the helpers inside.
+class HelperGate {
+ public:
+  bool enter() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!open_) return false;
+    ++inside_;
+    return true;
+  }
+  void leave() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (--inside_ == 0) idle_.notify_all();
+  }
+  void close_and_wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    open_ = false;
+    idle_.wait(lk, [this] { return inside_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable idle_;
+  bool open_ = true;
+  unsigned inside_ = 0;
 };
 
-/// Upper bound on frontier tasks per source.  Enough granularity that one
-/// dominant cone spreads across every worker of any realistic pool, small
-/// enough that the per-task replay (one state reset + launch implication)
-/// stays noise.
-constexpr std::size_t kMaxTasksPerSource = 32;
+/// The helper threads of every parallel run in the process, started on
+/// first use and grown to the largest worker count asked for, so a run
+/// (one per daemon ECO request, say) neither creates nor joins a thread.
+util::ThreadPool& search_helpers(unsigned count) {
+  static util::ThreadPool pool(count, "sasta-helper");
+  pool.grow_to(count);
+  return pool;
+}
 
 }  // namespace
-
-PathFinderStats PathFinder::run_steal(
-    const std::vector<netlist::NetId>& sources, unsigned n_workers,
-    const std::function<void(const TruePath&)>& sink,
-    const std::function<void(const Worker&)>& fold_gate_tallies) {
-  // The task decomposition is a pure function of the netlist: every worker
-  // agrees on it without coordination, and — because each chunk is a range
-  // of the sequential trial order and chunks are merged (source, chunk)
-  // ascending — the merged stream IS the sequential stream, bit for bit.
-  std::vector<std::size_t> chunk_counts(sources.size());
-  std::size_t total_tasks = 0;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const std::size_t cands = count_frontier_candidates(sources[i]);
-    // A zero-candidate source still needs one task: its chunk 0 owns the
-    // source-as-PO record, like the sequential prologue.
-    chunk_counts[i] =
-        cands == 0 ? 1 : std::min(cands, kMaxTasksPerSource);
-    total_tasks += chunk_counts[i];
-  }
-  std::vector<std::vector<std::vector<TruePath>>> buffers(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    buffers[i].resize(chunk_counts[i]);
-  }
-
-  // Per-source accumulation of per-task deltas.  Tasks of one source can
-  // run on different workers, so the per-source rows (attribution, metrics,
-  // the kSourceDone event) are built from task deltas folded under a mutex
-  // — integer sums, so the fold order cannot change any row.
-  struct SourceAccum {
-    long vector_trials = 0;
-    long backtracks = 0;
-    long paths_recorded = 0;
-    long justify_limited = 0;
-    double seconds = 0.0;  ///< sum of task seconds (can exceed wall clock)
-    bool searched = false;
-  };
-  std::vector<SourceAccum> accum(sources.size());
-  std::mutex accum_mu;
-  // Outstanding tasks per source (kSourceDone fires when the last one
-  // retires) and overall (the idle-worker exit condition).
-  auto tasks_left = std::make_unique<std::atomic<long>[]>(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    tasks_left[i].store(static_cast<long>(chunk_counts[i]),
-                        std::memory_order_relaxed);
-  }
-  std::atomic<long> pending_tasks{static_cast<long>(total_tasks)};
-
-  std::vector<util::StealDeque<FrontierTask>> deques(n_workers);
-  std::vector<PathFinderStats> worker_stats(n_workers);
-  std::atomic<std::size_t> next_source{0};
-
-  // Executes one frontier task on this worker, with the same observability
-  // run_source() gives a whole source — except per-task deltas feed the
-  // shared per-source accumulator instead of writing a row directly.
-  const auto run_task = [&](Worker& w, const FrontierTask& t) {
-    const PathFinderStats before = w.stats;
-    const netlist::NetId source = sources[t.source_index];
-    util::Stopwatch task_watch;
-    const bool ran = !stop_.load(std::memory_order_relaxed);
-    if (ran) {
-      if (w.rec != nullptr) {
-        w.rec->set_source(static_cast<std::uint32_t>(source));
-      }
-      util::TraceSpan span(
-          opt_.trace,
-          opt_.trace != nullptr
-              ? "task " + nl_.net(source).name + "/" +
-                    std::to_string(t.chunk_index)
-              : std::string(),
-          w.tid + 1);
-      w.out = &buffers[t.source_index][t.chunk_index];
-      begin_source_state(w, source);
-      const unsigned alive = opt_.directions & kScenarioBoth;
-      if (!deadline_hit(w)) {
-        // Chunk 0 owns everything the sequential extend() does before its
-        // first frontier candidate: the source-as-PO record.
-        if (t.chunk_index == 0 && nl_.net(source).is_primary_output) {
-          record(w, source, alive);
-        }
-        extend_over(w, source, alive, t.cand_begin, t.cand_end);
-      }
-      w.stats.backtracks += w.justifier.backtracks();
-    }
-    long source_paths = 0;
-    if (ran) {
-      const double seconds = task_watch.elapsed_seconds();
-      const long trials = w.stats.vector_trials - before.vector_trials;
-      {
-        std::lock_guard<std::mutex> lk(accum_mu);
-        SourceAccum& a = accum[t.source_index];
-        a.vector_trials += trials;
-        a.backtracks += w.stats.backtracks - before.backtracks;
-        a.paths_recorded += w.stats.paths_recorded - before.paths_recorded;
-        a.justify_limited +=
-            w.stats.justify_limited - before.justify_limited;
-        a.seconds += seconds;
-        a.searched = true;
-        source_paths = a.paths_recorded;
-      }
-      if (w.metrics != nullptr) {
-        const SourceMetricIds& ids = source_metric_ids_[t.source_index];
-        w.metrics->add(ids.vector_trials, trials);
-        w.metrics->add(ids.backtracks,
-                       w.stats.backtracks - before.backtracks);
-        w.metrics->add(ids.paths_recorded,
-                       w.stats.paths_recorded - before.paths_recorded);
-        w.metrics->add(ids.justify_limited,
-                       w.stats.justify_limited - before.justify_limited);
-        w.metrics->add(ids.seconds, seconds);
-        w.metrics->add(worker_metric_ids_[w.tid].busy_seconds, seconds);
-      }
-      trials_flushed_.fetch_add(trials, std::memory_order_relaxed);
-    }
-    if (tasks_left[t.source_index].fetch_sub(
-            1, std::memory_order_acq_rel) == 1) {
-      // Last task of this source anywhere: the finisher owns the
-      // source-completion milestones, whichever worker it is.
-      if (w.rec != nullptr) {
-        w.rec->record(util::FlightEventKind::kSourceDone, 0,
-                      static_cast<std::uint32_t>(source),
-                      static_cast<std::uint32_t>(source_paths));
-        w.rec->note_source_done();
-      }
-      sources_done_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (w.rec != nullptr) w.rec->set_idle();
-    pending_tasks.fetch_sub(1, std::memory_order_release);
-    maybe_heartbeat();
-  };
-
-  util::ThreadPool pool(n_workers);
-  for (unsigned t = 0; t < n_workers; ++t) {
-    pool.submit([&, t] {
-      Worker w(*this);
-      w.tid = static_cast<int>(t);
-      // Courses are tallied on the canonically merged stream after the
-      // join (see below): one course's vector combos can span tasks on
-      // different workers, so per-worker maps would over-count.
-      w.count_courses = false;
-      if (opt_.metrics != nullptr) w.metrics = &opt_.metrics->create_shard();
-      attach_recorder(w);
-      if (opt_.attribution != nullptr) w.arm_attribution(nl_.num_instances());
-      while (!stop_.load(std::memory_order_relaxed)) {
-        FrontierTask task;
-        // 1. Own work first, in spawn order (chunk 0 carries the PO
-        //    record, so FIFO keeps the common case sequential-shaped).
-        if (deques[t].pop(&task)) {
-          run_task(w, task);
-          continue;
-        }
-        // 2. Claim the next unexpanded source and split it into tasks.
-        if (next_source.load(std::memory_order_relaxed) < sources.size()) {
-          const std::size_t i =
-              next_source.fetch_add(1, std::memory_order_relaxed);
-          if (i < sources.size()) {
-            if (deadline_hit(w)) break;
-            const netlist::NetId source = sources[i];
-            const std::size_t chunks = chunk_counts[i];
-            const std::size_t cands = count_frontier_candidates(source);
-            if (w.rec != nullptr) {
-              w.rec->record(util::FlightEventKind::kSourceClaim, 0,
-                            static_cast<std::uint32_t>(source),
-                            static_cast<std::uint32_t>(i));
-              w.rec->record(util::FlightEventKind::kTaskSpawn,
-                            static_cast<std::uint16_t>(chunks),
-                            static_cast<std::uint32_t>(source),
-                            static_cast<std::uint32_t>(cands));
-            }
-            w.stats.tasks_spawned += static_cast<long>(chunks);
-            if (w.metrics != nullptr) {
-              w.metrics->add(worker_metric_ids_[w.tid].sources, 1);
-            }
-            // Balanced split: chunk j gets base + (j < rem), so sizes
-            // differ by at most one and the partition is canonical.
-            const std::size_t base = cands / chunks;
-            const std::size_t rem = cands % chunks;
-            std::size_t begin = 0;
-            for (std::size_t j = 0; j < chunks; ++j) {
-              const std::size_t size = base + (j < rem ? 1 : 0);
-              const FrontierTask ft{
-                  static_cast<std::uint32_t>(i),
-                  static_cast<std::uint32_t>(j),
-                  static_cast<std::uint32_t>(begin),
-                  static_cast<std::uint32_t>(begin + size)};
-              begin += size;
-              // Bounded deque: on overflow run the task inline — the
-              // source still completes, just with less parallelism.
-              if (!deques[t].push(ft)) run_task(w, ft);
-            }
-            continue;
-          }
-        }
-        // 3. Steal the newest task of the busiest victim.
-        std::size_t victim = n_workers;
-        std::size_t victim_size = 0;
-        for (std::size_t v = 0; v < n_workers; ++v) {
-          if (v == t) continue;
-          const std::size_t sz = deques[v].size();
-          if (sz > victim_size) {
-            victim_size = sz;
-            victim = v;
-          }
-        }
-        if (victim < n_workers && deques[victim].steal(&task)) {
-          ++w.stats.tasks_stolen;
-          if (w.rec != nullptr) {
-            w.rec->record(
-                util::FlightEventKind::kTaskSteal,
-                static_cast<std::uint16_t>(victim),
-                static_cast<std::uint32_t>(sources[task.source_index]),
-                static_cast<std::uint32_t>(task.chunk_index));
-          }
-          run_task(w, task);
-          continue;
-        }
-        ++w.stats.steal_failures;
-        // 4. Nothing anywhere: exit once every spawned task has retired
-        //    (unspawned sources were handled by the claim branch above —
-        //    reaching here means next_source is exhausted).
-        if (pending_tasks.load(std::memory_order_acquire) == 0) break;
-        std::this_thread::yield();
-      }
-      fold_gate_tallies(w);
-      worker_stats[t] = std::move(w.stats);
-    });
-  }
-  pool.wait_idle();
-
-  PathFinderStats total;
-  for (const PathFinderStats& s : worker_stats) total += s;
-
-  // Canonical merge: (source order, chunk order, in-chunk discovery order)
-  // is exactly the sequential delivery order.  Courses are counted here on
-  // the merged stream — the single place with the global view — which
-  // reproduces the sequential tallies exactly (course keys are
-  // source-prefixed, so the per-worker maps of the source scheduler and
-  // this single map agree).
-  {
-    util::TraceSpan merge_span(opt_.trace, "pathfinder/merge", 0);
-    std::unordered_map<std::string, int> course_counts;
-    for (std::vector<std::vector<TruePath>>& chunks : buffers) {
-      for (std::vector<TruePath>& chunk : chunks) {
-        for (TruePath& p : chunk) {
-          const int count = ++course_counts[p.course_key(nl_)];
-          if (count == 1) ++total.courses;
-          if (count == 2) ++total.multi_vector_courses;
-          if (sink) sink(p);
-        }
-      }
-    }
-  }
-
-  if (opt_.attribution != nullptr) {
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      const SourceAccum& a = accum[i];
-      if (!a.searched) continue;
-      SearchAttribution::SourceCost& row = opt_.attribution->sources[i];
-      row.source = sources[i];
-      row.vector_trials = a.vector_trials;
-      row.backtracks = a.backtracks;
-      row.paths_recorded = a.paths_recorded;
-      row.justify_limited = a.justify_limited;
-      row.seconds = a.seconds;
-    }
-  }
-  return total;
-}
 
 PathFinderStats PathFinder::run(
     const std::function<void(const TruePath&)>& sink) {
@@ -920,22 +653,15 @@ PathFinderStats PathFinder::run(
     sources.push_back(pi);
   }
 
-  // The source scheduler caps workers at the source count (extra workers
-  // could never get work); the steal scheduler deliberately does not — its
-  // whole point is putting more workers than sources to use.  One worker
-  // always takes the sequential reference path: the steal result is defined
-  // as bit-identical to it, so there is nothing to schedule.
-  const unsigned resolved = util::ThreadPool::resolve(opt_.num_threads);
-  const bool steal_mode = opt_.schedule == ScheduleMode::kSteal &&
-                          resolved > 1 && !sources.empty();
-  const unsigned n_workers =
-      steal_mode ? resolved
-                 : std::max<unsigned>(
-                       1, std::min<std::size_t>(resolved, sources.size()));
+  // Workers search whole sources, so more workers than sources could never
+  // get work.
+  const unsigned n_workers = std::max<unsigned>(
+      1, std::min<std::size_t>(util::ThreadPool::resolve(opt_.num_threads),
+                               sources.size()));
   prepare_observability(sources, n_workers);
   if (opt_.trace != nullptr) {
-    // Mirror the OS-level pthread names (ThreadPool) into the trace so
-    // Perfetto labels the lanes: 0 = orchestrator, 1..N = workers.
+    // Label the lanes for Perfetto: 0 = orchestrator, 1..N = workers
+    // (worker 0 runs on the calling thread, the rest on helper threads).
     opt_.trace->set_thread_name(0, "sasta-main");
     for (unsigned t = 0; t < n_workers; ++t) {
       opt_.trace->set_thread_name(static_cast<int>(t) + 1,
@@ -978,62 +704,60 @@ PathFinderStats PathFinder::run(
                                      SearchAttribution::SourceCost{});
     gate_trials.assign(nl_.num_instances(), 0);
   }
-  const auto fold_gate_tallies = [&](const Worker& w) {
-    if (!attribution_on) return;
-    std::lock_guard<std::mutex> lk(gate_merge_mu);
-    for (std::size_t i = 0; i < gate_trials.size(); ++i) {
-      gate_trials[i] += w.gate_trials[i];
-    }
-  };
 
-  PathFinderStats total;
-  if (n_workers == 1) {
-    // Sequential reference implementation: paths stream to the sink in
-    // discovery order.
+  // The one worker body: claim the next source from the shared index until
+  // none is left or the run stops.  On the pool each source records into
+  // its own buffer; the buffers are merged in source order after the join,
+  // so every thread count delivers the single-worker order exactly.
+  std::vector<std::vector<TruePath>> buffers;
+  std::vector<PathFinderStats> worker_stats(n_workers);
+  std::atomic<std::size_t> next_source{0};
+  const auto work = [&](unsigned t) {
+    // Claim before building the worker: a helper that arrives after the
+    // last claim leaves without allocating anything.
+    std::size_t i = next_source.fetch_add(1, std::memory_order_relaxed);
+    if (i >= sources.size()) return;
     Worker w(*this);
+    w.tid = static_cast<int>(t);
     if (opt_.metrics != nullptr) w.metrics = &opt_.metrics->create_shard();
     attach_recorder(w);
     if (attribution_on) w.arm_attribution(nl_.num_instances());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
+    for (; i < sources.size();
+         i = next_source.fetch_add(1, std::memory_order_relaxed)) {
       if (stop_.load(std::memory_order_relaxed) || deadline_hit(w)) break;
+      if (n_workers > 1) w.out = &buffers[i];
       run_source(w, i, sources[i]);
     }
-    fold_gate_tallies(w);
-    total = w.stats;
-  } else if (steal_mode) {
-    total = run_steal(sources, n_workers, sink, fold_gate_tallies);
+    if (attribution_on) {
+      std::lock_guard<std::mutex> lk(gate_merge_mu);
+      for (std::size_t i = 0; i < gate_trials.size(); ++i) {
+        gate_trials[i] += w.gate_trials[i];
+      }
+    }
+    worker_stats[t] = std::move(w.stats);
+  };
+  if (n_workers == 1) {
+    // Inline on the calling thread: paths stream to the sink as found.
+    work(0);
   } else {
-    // Source-parallel: workers pull sources from an atomic index into
-    // per-source buffers, merged in source order after the join so the
-    // delivery order matches the sequential run exactly.
-    std::vector<std::vector<TruePath>> buffers(sources.size());
-    std::vector<PathFinderStats> worker_stats(n_workers);
-    std::atomic<std::size_t> next_source{0};
-    util::ThreadPool pool(n_workers);
-    for (unsigned t = 0; t < n_workers; ++t) {
-      pool.submit([this, t, attribution_on, &fold_gate_tallies, &sources,
-                   &buffers, &worker_stats, &next_source] {
-        Worker w(*this);
-        w.tid = static_cast<int>(t);
-        if (opt_.metrics != nullptr) {
-          w.metrics = &opt_.metrics->create_shard();
-        }
-        attach_recorder(w);
-        if (attribution_on) w.arm_attribution(nl_.num_instances());
-        for (std::size_t i =
-                 next_source.fetch_add(1, std::memory_order_relaxed);
-             i < sources.size();
-             i = next_source.fetch_add(1, std::memory_order_relaxed)) {
-          if (stop_.load(std::memory_order_relaxed) || deadline_hit(w)) break;
-          w.out = &buffers[i];
-          run_source(w, i, sources[i]);
-        }
-        fold_gate_tallies(w);
-        worker_stats[t] = std::move(w.stats);
+    // The calling thread is worker 0; workers 1..n-1 are tasks on the
+    // process's helper threads.  The run waits only for the helpers that
+    // entered while it was open, so on a busy host a helper scheduled late
+    // costs the run nothing: the caller has claimed its sources already.
+    buffers.resize(sources.size());
+    const auto gate = std::make_shared<HelperGate>();
+    util::ThreadPool& helpers = search_helpers(n_workers - 1);
+    for (unsigned t = 1; t < n_workers; ++t) {
+      // `work` dangles once the gate closes; a task only calls it after
+      // entering the open gate, which keeps this frame alive.
+      helpers.submit([gate, &work, t] {
+        if (!gate->enter()) return;
+        work(t);
+        gate->leave();
       });
     }
-    pool.wait_idle();
-    for (const PathFinderStats& s : worker_stats) total += s;
+    work(0);
+    gate->close_and_wait();
     if (sink) {
       util::TraceSpan merge_span(opt_.trace, "pathfinder/merge", 0);
       for (std::vector<TruePath>& buf : buffers) {
@@ -1041,6 +765,8 @@ PathFinderStats PathFinder::run(
       }
     }
   }
+  PathFinderStats total;
+  for (const PathFinderStats& s : worker_stats) total += s;
   total.cpu_seconds = watch.elapsed_seconds();
   if (attribution_on) {
     for (std::size_t i = 0; i < gate_trials.size(); ++i) {
@@ -1056,27 +782,10 @@ PathFinderStats PathFinder::run(
         opt_.metrics->counter("pathfinder.sources_total");
     const util::CounterId workers =
         opt_.metrics->counter("pathfinder.workers");
-    // Steal-scheduler counters exist exactly when the knob selects kSteal
-    // (zero at 1 worker, where the sequential path runs): the key set stays
-    // a pure function of the options.
-    const bool steal_on = opt_.schedule == ScheduleMode::kSteal;
-    util::CounterId tasks_spawned_id{};
-    util::CounterId tasks_stolen_id{};
-    util::CounterId steal_failures_id{};
-    if (steal_on) {
-      tasks_spawned_id = opt_.metrics->counter("pathfinder.tasks_spawned");
-      tasks_stolen_id = opt_.metrics->counter("pathfinder.tasks_stolen");
-      steal_failures_id = opt_.metrics->counter("pathfinder.steal_failures");
-    }
     util::MetricsShard& shard = opt_.metrics->create_shard();
     shard.add(run_seconds, total.cpu_seconds);
     shard.add(sources_total, static_cast<long>(sources.size()));
     shard.add(workers, static_cast<long>(n_workers));
-    if (steal_on) {
-      shard.add(tasks_spawned_id, total.tasks_spawned);
-      shard.add(tasks_stolen_id, total.tasks_stolen);
-      shard.add(steal_failures_id, total.steal_failures);
-    }
   }
   sink_ = nullptr;
   return total;

@@ -69,27 +69,12 @@ struct SearchAttribution {
   std::vector<GateCost> gates;      ///< ordered by instance id
 };
 
-/// How the parallel search distributes work across worker threads.
-enum class ScheduleMode {
-  /// One source PI per worker at a time (the PR 1 scheduler): workers pull
-  /// whole sources from an atomic index.  Zero coordination inside a
-  /// source, but a single dominant cone serializes on one worker.
-  kSource,
-  /// Work stealing below the source level: the claiming worker splits each
-  /// source's DFS at its first fanout frontier into bounded-deque tasks
-  /// (contiguous candidate ranges in exact trial order) and idle workers
-  /// steal from the busiest victim.  Results are merged in canonical
-  /// (source order, frontier-chunk order), which IS the sequential
-  /// delivery order — so paths, slacks and report bytes are bit-identical
-  /// to kSource at every thread count, regardless of who executed what.
-  kSteal,
-};
-
 // --- perfbench/probe.cpp compatibility --------------------------------
 // Enumerations of removed search modes, kept only so the frozen benchmark
 // probe compiles (see the compatibility block of PathFinderOptions).
 enum class JustifyCacheMode { kShared };
 enum class JustifyTier { kBoth };
+enum class ScheduleMode { kSource };
 
 struct PathFinderOptions {
   long max_paths = -1;      ///< stop after this many recorded paths (<0: all)
@@ -123,28 +108,20 @@ struct PathFinderOptions {
   bool use_scoap_guide = true;
 
   /// Worker threads for the source-parallel search: 0 = hardware
-  /// concurrency, 1 = the sequential reference implementation (identical to
-  /// the pre-parallel code path).  Without n_worst pruning, every thread
-  /// count delivers the same paths in the same order, bit for bit: each
-  /// source's DFS is deterministic and the per-source buffers are merged in
-  /// source-PI order.  With n_worst pruning the *recorded superset* may
-  /// vary with thread interleaving (the shared pruning floor tightens at
-  /// different times), but the top-N set itself is invariant — the floor is
-  /// always a lower bound on the final N-th worst delay, so no member of
-  /// the true top-N set is ever pruned.  Runs truncated by max_paths /
-  /// max_seconds keep a deterministic *count* but not a deterministic set
-  /// when threads > 1.
+  /// concurrency.  Each worker searches whole sources, so at most one
+  /// worker per searched source is started.  Worker 0 runs on the calling
+  /// thread (a single worker streams paths to the sink) and the rest on
+  /// helper threads shared by every run in the process.  Without n_worst
+  /// pruning, every thread count delivers the same paths in the same order,
+  /// bit for bit: each source's DFS is deterministic and the per-source
+  /// buffers are merged in source-PI order.  With n_worst pruning the
+  /// *recorded superset* may vary with thread interleaving (the shared
+  /// pruning floor tightens at different times), but the top-N set itself
+  /// is invariant — the floor is always a lower bound on the final N-th
+  /// worst delay, so no member of the true top-N set is ever pruned.  Runs
+  /// truncated by max_paths / max_seconds keep a deterministic *count* but
+  /// not a deterministic set when threads > 1.
   int num_threads = 1;
-
-  /// Worker scheduling policy (see ScheduleMode).  kSteal changes only WHO
-  /// executes each frontier task, never WHAT is searched: every task
-  /// replays the identical launch state (reset + assign_dual) the
-  /// sequential search would carry into its candidate range, and the
-  /// canonical merge restores sequential delivery order.  Unlike kSource,
-  /// kSteal does not cap the worker count at the source count — that is
-  /// precisely the starvation it exists to fix.  The n_worst floor composes
-  /// with stealing unchanged (it is already cross-worker shared state).
-  ScheduleMode schedule = ScheduleMode::kSource;
 
   // --- Observability (all optional; null / <= 0 is a zero-overhead no-op).
   // Metrics and traces record observed state only and are NEVER inputs to
@@ -180,16 +157,15 @@ struct PathFinderOptions {
   /// dump here (same format as the signal-triggered dumps).
   std::string watchdog_dump_path;
   /// TEST-ONLY: invoked after every counted vector trial with the instance
-  /// under trial.  Lets the stall-injection test block the worker and the
-  /// steal-engagement test inject per-gate delay deterministically; must
-  /// never be set outside tests (any side effect on shared state would
-  /// break the determinism contract).
+  /// under trial.  Lets the stall-injection test block a worker
+  /// deterministically; must never be set outside tests (any side effect on
+  /// shared state would break the determinism contract).
   std::function<void(netlist::InstId)> test_trial_hook;
 
   /// When set, only sources (primary inputs) accepted by the filter are
   /// searched; the rest are skipped before any scheduling happens, so the
-  /// searched subset runs with exactly the sequential/steal semantics of a
-  /// netlist whose other PIs did not exist.  This is the ECO-incremental
+  /// searched subset runs with exactly the semantics of a netlist whose
+  /// other PIs did not exist.  This is the ECO-incremental
   /// hook: the serve-mode session re-runs only dirtied sources and splices
   /// the fresh per-source results over its warm ones.  Per-source true
   /// paths are independent (a source's enumeration never reads another
@@ -208,6 +184,7 @@ struct PathFinderOptions {
   JustifyTier justify_tier = JustifyTier::kBoth;
   double escalation_payoff = 0.0;
   int trial_lanes = 1;
+  ScheduleMode schedule = ScheduleMode::kSource;
 };
 
 class PathFinder {
@@ -241,30 +218,13 @@ class PathFinder {
   /// state except the explicit atomics/heap below.
   struct Worker;
 
+  /// Resets the worker's search context for `source`, commits the launch
+  /// transition and runs the source's DFS.
   void search_source(Worker& w, netlist::NetId source);
   /// search_source wrapped with the per-source observability: a trace span
   /// on the worker's lane, per-source counter deltas (exact — sources never
   /// span workers), and the progress-heartbeat bookkeeping.
   void run_source(Worker& w, std::size_t source_index, netlist::NetId source);
-  /// Resets the worker's search context for `source` and commits the launch
-  /// transition: exactly the state the sequential search carries into the
-  /// source's first frontier candidate.  Shared by search_source and the
-  /// steal scheduler's task replay (which is what makes a frontier task's
-  /// "assignment prefix" trivially — and exactly — reproducible).
-  void begin_source_state(Worker& w, netlist::NetId source);
-  /// Number of (reachable fanout, sensitization vector) candidates at the
-  /// source net's first frontier, in exact extend() trial order.  The steal
-  /// scheduler's chunking is a pure function of this count.
-  std::size_t count_frontier_candidates(netlist::NetId net) const;
-  /// The work-stealing scheduler body (ScheduleMode::kSteal, > 1 worker):
-  /// claims sources, expands them into frontier tasks, steals from the
-  /// busiest victim when idle, and merges per-(source, chunk) buffers in
-  /// canonical order.  Returns the merged stats.
-  PathFinderStats run_steal(const std::vector<netlist::NetId>& sources,
-                            unsigned n_workers,
-                            const std::function<void(const TruePath&)>& sink,
-                            const std::function<void(const Worker&)>&
-                                fold_gate_tallies);
   /// Registers the per-source / per-worker metric ids and resets the
   /// heartbeat state.  Called once per run(), before any shard exists.
   void prepare_observability(const std::vector<netlist::NetId>& sources,
@@ -273,14 +233,6 @@ class PathFinder {
   /// interval is claimed by CAS, so exactly one worker logs per period).
   void maybe_heartbeat();
   void extend(Worker& w, netlist::NetId net, unsigned alive);
-  /// The candidate loop of extend(), restricted to frontier candidates with
-  /// flat index in [cand_begin, cand_end) — extend() passes the full range;
-  /// the steal scheduler executes one chunk per task.  Candidate indices
-  /// count the (reachable fanout) x (vector) nesting in exact trial order,
-  /// so a range partition of [0, count) partitions the sequential trial
-  /// sequence itself.
-  void extend_over(Worker& w, netlist::NetId net, unsigned alive,
-                   std::size_t cand_begin, std::size_t cand_end);
   void record(Worker& w, netlist::NetId sink_net, unsigned alive);
   /// Polls the shared wall-clock deadline; on expiry flags truncation and
   /// raises the global stop.  The single deadline authority (bugfix: this

@@ -14,16 +14,6 @@ namespace {
 /// grep the report surface out of this file and hold docs/METRICS.md to it.
 std::string jkey(const char* name) { return util::json_quote(name); }
 
-const char* schedule_name(ScheduleMode s) {
-  switch (s) {
-    case ScheduleMode::kSource:
-      return "source";
-    case ScheduleMode::kSteal:
-      return "steal";
-  }
-  return "?";
-}
-
 /// The K gates with the most vector trials, totally ordered (trials
 /// descending, instance id ascending) so the table is deterministic for
 /// fixed tallies.
@@ -99,9 +89,8 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
   if (in.options != nullptr) {
     const PathFinderOptions& o = *in.options;
     os << "\n    " << jkey("threads") << ": " << o.num_threads << ",\n    "
-       << jkey("schedule") << ": \"" << schedule_name(o.schedule)
-       << "\",\n    " << jkey("backtrack_budget") << ": "
-       << o.justify_backtrack_budget << "\n  ";
+       << jkey("backtrack_budget") << ": " << o.justify_backtrack_budget
+       << "\n  ";
   }
   os << "},\n";
 
@@ -115,9 +104,6 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
        << ",\n    " << jkey("vector_trials") << ": " << s.vector_trials
        << ",\n    " << jkey("backtracks") << ": " << s.backtracks << ",\n    "
        << jkey("justify_limited") << ": " << s.justify_limited << ",\n    "
-       << jkey("tasks_spawned") << ": " << s.tasks_spawned << ",\n    "
-       << jkey("tasks_stolen") << ": " << s.tasks_stolen << ",\n    "
-       << jkey("steal_failures") << ": " << s.steal_failures << ",\n    "
        << jkey("cpu_seconds") << ": " << num(s.cpu_seconds) << ",\n    "
        << jkey("truncated") << ": " << (s.truncated ? "true" : "false")
        << "\n  ";
@@ -162,8 +148,8 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
     const std::vector<WorkerRow> rows = worker_rows(in);
     const char* sep = "";
     // busy_fraction divides by the run's wall clock: it answers "was this
-    // worker starved", which is the figure the steal scheduler exists to
-    // move toward 1.0 on skewed circuits.
+    // worker starved" (a dominant source keeps one worker busy while the
+    // others run out of sources).
     const double wall =
         in.stats != nullptr ? in.stats->cpu_seconds : 0.0;
     for (const WorkerRow& r : rows) {
@@ -269,15 +255,6 @@ std::vector<std::string> selfcheck_run(const RunReportInputs& in) {
   // Internal stats invariants (always checkable).
   le("courses <= paths_recorded", s.courses, s.paths_recorded);
   le("multi_vector_courses <= courses", s.multi_vector_courses, s.courses);
-  // A stolen task is one some worker spawned; the source scheduler spawns
-  // no tasks at all.
-  le("tasks_stolen <= tasks_spawned", s.tasks_stolen, s.tasks_spawned);
-  if (in.options != nullptr &&
-      in.options->schedule == ScheduleMode::kSource) {
-    eq("tasks_spawned (source schedule)", s.tasks_spawned, 0);
-    eq("tasks_stolen (source schedule)", s.tasks_stolen, 0);
-    eq("steal_failures (source schedule)", s.steal_failures, 0);
-  }
 
   // Attribution rows vs aggregates: every cost unit is charged to exactly
   // one source and (for trials) exactly one gate.

@@ -48,8 +48,8 @@ void write_run_report(const RunReportInputs& in, std::ostream& os);
 /// Counter-reconciliation pass (--selfcheck): cross-checks every redundant
 /// view of the run — attribution rows vs aggregate stats, per-source
 /// metrics vs stats, recorder activity slots vs stats, and the internal
-/// stats invariants (course and scheduler arithmetic).  Returns one human-readable "name: got X want Y" line per
-/// violation; an empty vector means every available view reconciles.
+/// stats invariants (course arithmetic).  Returns one human-readable
+/// "name: got X want Y" line per violation; an empty vector means every available view reconciles.
 /// Sections whose inputs are null are skipped, never failed.
 std::vector<std::string> selfcheck_run(const RunReportInputs& in);
 

@@ -35,8 +35,6 @@ const char* flight_event_kind_name(std::uint8_t kind) {
     case FlightEventKind::kTrial: return "trial";
     case FlightEventKind::kBacktrackBurst: return "backtrack_burst";
     case FlightEventKind::kPathRecorded: return "path_recorded";
-    case FlightEventKind::kTaskSpawn: return "task_spawn";
-    case FlightEventKind::kTaskSteal: return "task_steal";
   }
   return "?";
 }

@@ -51,8 +51,7 @@ enum class FlightEventKind : std::uint8_t {
   // is retired (a word-packed trial sweep); never reuse them.
   kBacktrackBurst = 9,  // a = backtracks used, b = alive mask
   kPathRecorded = 10,  // arg = launch bit, a = steps, b = sink net id
-  kTaskSpawn = 11,     // arg = task count, a = source net id, b = candidates
-  kTaskSteal = 12,     // arg = victim lane, a = source net id, b = chunk index
+  // 11-12 are retired (work-stealing task spawn/steal); never reuse them.
 };
 
 /// Stable short name for a kind ("trial", "path_recorded", ...); "?" for

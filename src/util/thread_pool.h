@@ -1,7 +1,8 @@
-// Minimal fixed-size worker pool for the source-parallel path search.
+// Minimal worker pool for the source-parallel path search.
 //
-// Deliberately tiny: a task queue, a condition variable, and a wait_idle()
-// barrier.  Tasks are opaque std::function<void()>; callers that need
+// Deliberately tiny: a task queue, a condition variable, a wait_idle()
+// barrier, and grow_to() for a long-lived pool whose callers ask for
+// different thread counts.  Tasks are opaque std::function<void()>; callers that need
 // dynamic load balancing pull work items through their own atomic index
 // (see PathFinder::run), which keeps the queue short-lived and the pool
 // reusable for any embarrassingly parallel stage.
@@ -33,60 +34,6 @@ inline void set_current_thread_name(const char* name) {
 #endif
 }
 
-/// Bounded per-worker deque for work-stealing schedulers (see
-/// PathFinder's --schedule=steal).  The owner pushes its tasks and pops
-/// them FIFO from the front, so locally-spawned work runs in spawn order;
-/// thieves steal from the back — the task the owner would reach last.  A
-/// plain mutex per deque is deliberate: tasks are coarse (whole sub-search
-/// ranges), so queue operations are cold next to the work they hand out,
-/// and a mutex keeps the TSan story trivial.
-template <typename T>
-class StealDeque {
- public:
-  explicit StealDeque(std::size_t capacity = 256) : capacity_(capacity) {}
-
-  /// Owner only.  Returns false when the deque is full — the caller should
-  /// execute the task inline instead (boundedness is how a pathological
-  /// fanout cannot queue unbounded memory).
-  bool push(const T& task) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (q_.size() >= capacity_) return false;
-    q_.push_back(task);
-    return true;
-  }
-
-  /// Owner only: dequeue the oldest task.
-  bool pop(T* out) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (q_.empty()) return false;
-    *out = q_.front();
-    q_.pop_front();
-    return true;
-  }
-
-  /// Any thread: steal the newest task.
-  bool steal(T* out) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (q_.empty()) return false;
-    *out = q_.back();
-    q_.pop_back();
-    return true;
-  }
-
-  /// Approximate occupancy for busiest-victim selection.  The value is
-  /// stale the moment the lock drops; victim choice only affects load
-  /// balance, never results.
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return q_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::deque<T> q_;
-  std::size_t capacity_;
-};
-
 class ThreadPool {
  public:
   /// Usable hardware concurrency (never 0, even when the runtime cannot
@@ -106,13 +53,19 @@ class ThreadPool {
   /// Workers name themselves "<name_prefix><index>" (e.g. sasta-w3) so
   /// traces, gdb, and htop show which pool thread is which.
   explicit ThreadPool(unsigned num_threads = 0,
-                      const char* name_prefix = "sasta-w") {
-    if (num_threads == 0) num_threads = hardware_threads();
-    threads_.reserve(num_threads);
-    for (unsigned i = 0; i < num_threads; ++i) {
-      threads_.emplace_back([this, i, name_prefix] {
+                      const char* name_prefix = "sasta-w")
+      : name_prefix_(name_prefix) {
+    grow_to(num_threads == 0 ? hardware_threads() : num_threads);
+  }
+
+  /// Starts workers until the pool has at least `num_threads`; never
+  /// stops any.  Safe to call while tasks run.
+  void grow_to(unsigned num_threads) {
+    std::lock_guard<std::mutex> lk(grow_mu_);
+    for (unsigned i = size(); i < num_threads; ++i) {
+      threads_.emplace_back([this, i] {
         char name[16];
-        std::snprintf(name, sizeof(name), "%s%u", name_prefix, i);
+        std::snprintf(name, sizeof(name), "%s%u", name_prefix_, i);
         set_current_thread_name(name);
         worker_loop();
       });
@@ -169,6 +122,8 @@ class ThreadPool {
     }
   }
 
+  const char* name_prefix_;
+  std::mutex grow_mu_;  ///< serializes grow_to (threads_ is owner-side)
   std::vector<std::thread> threads_;
   std::deque<std::function<void()>> queue_;
   std::mutex mu_;

@@ -50,7 +50,6 @@ TEST(CliDefaults, RunReportOptionsMatchPathFinderOptionsDefaults) {
   EXPECT_EQ(cli.get("threads").as_long(-1), 0);
 
   // The documented defaults, pinned.
-  EXPECT_EQ(cli.get("schedule").as_string(), "source");
   EXPECT_EQ(cli.get("backtrack_budget").as_long(), 2000);
 }
 

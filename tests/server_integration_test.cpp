@@ -59,14 +59,32 @@ class LineClient {
 
   /// Sends one raw line and blocks for one response line.
   JsonValue call_raw(const std::string& line) {
-    std::string framed = line + "\n";
+    if (!send_bytes(line + "\n")) return JsonValue();
+    return read_line();
+  }
+
+  /// Sends raw bytes, no framing added.  False if the peer went away.
+  bool send_bytes(const std::string& bytes) {
     std::size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t n = ::send(fd_, framed.data() + off,
-                               framed.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) return JsonValue();
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
       off += static_cast<std::size_t>(n);
     }
+    return true;
+  }
+
+  /// True once the server closed the connection and no unread line is
+  /// left.
+  bool at_eof() {
+    if (!buffer_.empty()) return false;
+    char c;
+    return ::recv(fd_, &c, 1, 0) == 0;
+  }
+
+  /// Blocks for one response line (null at EOF).
+  JsonValue read_line() {
     while (true) {
       const std::size_t nl = buffer_.find('\n');
       if (nl != std::string::npos) {
@@ -255,6 +273,33 @@ TEST(ServerIntegration, DeeplyNestedLineIsAParseErrorNotACrash) {
       << resp.dump();
 
   resp = client.call("ping", JsonValue::object());
+  EXPECT_TRUE(resp.get("result").get("pong").as_bool()) << resp.dump();
+}
+
+// A client that never sends a newline used to grow daemon memory without
+// bound.  One byte over the line limit gets one E_PARSE (id null) naming
+// the limit, then the connection closes; the daemon keeps serving others.
+TEST(ServerIntegration, OverlongLineIsRejectedAndConnectionClosed) {
+  ServerFixture fx(test_options(socket_path("overlong")));
+  ASSERT_TRUE(fx.server().listening());
+  {
+    LineClient client(socket_path("overlong"));
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.send_bytes(
+        std::string(server::kMaxRequestLineBytes + 1, 'x')));
+    const JsonValue resp = client.read_line();
+    EXPECT_EQ(resp.get("error").get("code").as_string(), server::kErrParse)
+        << resp.dump();
+    EXPECT_TRUE(resp.get("id").is_null());
+    EXPECT_NE(resp.get("error").get("message").as_string().find(
+                  std::to_string(server::kMaxRequestLineBytes)),
+              std::string::npos)
+        << resp.dump();
+    EXPECT_TRUE(client.at_eof());
+  }
+  LineClient next(socket_path("overlong"));
+  ASSERT_TRUE(next.connected());
+  const JsonValue resp = next.call("ping", JsonValue::object());
   EXPECT_TRUE(resp.get("result").get("pong").as_bool()) << resp.dump();
 }
 

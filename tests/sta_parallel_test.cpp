@@ -1,32 +1,41 @@
 // Determinism and equivalence guarantees of the source-parallel path
-// finder: every thread count must deliver the sequential result, and the
-// N-worst pruned search must return exactly the exhaustive top-N set.
+// finder: every thread count must deliver the single-worker result — paths,
+// search counters and rendered report bytes — and the N-worst pruned search
+// must return exactly the exhaustive top-N set.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "netlist/bench_parser.h"
 #include "netlist/iscas_gen.h"
 #include "netlist/techmap.h"
+#include "sta/report.h"
 #include "sta/sta_tool.h"
 #include "tech/technology.h"
 #include "test_charlib.h"
 #include "test_paths.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace sasta::sta {
 namespace {
 
 netlist::Netlist generated_circuit(std::uint64_t seed, int pis = 12,
-                                   int gates = 60) {
+                                   int gates = 60, int depth = 7) {
   netlist::GeneratorProfile p;
   p.name = "par" + std::to_string(seed);
   p.num_inputs = pis;
   p.num_outputs = 6;
   p.num_gates = gates;
-  p.depth = 7;
+  p.depth = depth;
   p.seed = seed;
   return netlist::tech_map(netlist::generate_iscas_like(p),
                            testing::test_library())
@@ -40,7 +49,16 @@ netlist::Netlist c17() {
       .netlist;
 }
 
+netlist::Netlist c432_scale() {
+  return netlist::tech_map(
+             netlist::generate_iscas_like(netlist::iscas_profile("c432")),
+             testing::test_library())
+      .netlist;
+}
+
 using testing::hex_double;
+
+constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 std::vector<std::string> run_sta(const netlist::Netlist& nl,
                                  StaToolOptions opt) {
@@ -95,35 +113,124 @@ TEST(ParallelPathFinder, FindAllOrderMatchesSequential) {
   }
 }
 
-// Parallel workers must also agree on aggregate statistics for exhaustive
-// runs (per-source counters are exact regardless of which worker ran them)
-// — and on the paths themselves, down to every gate step, sensitization
-// vector, and side-input PI assignment, not just the counts.
-TEST(ParallelPathFinder, ExhaustiveStatsMatchSequential) {
-  const netlist::Netlist nl = generated_circuit(9);
-  const auto& cl = testing::test_charlib("90nm");
+struct EnumRun {
+  std::vector<std::string> fingerprints;
+  PathFinderStats stats;
+};
 
+EnumRun enumerate(const netlist::Netlist& nl, int threads) {
   PathFinderOptions opt;
-  opt.num_threads = 1;
-  PathFinder sequential(nl, cl, opt);
-  std::vector<TruePath> want_paths;
-  const PathFinderStats want =
-      sequential.run([&](const TruePath& p) { want_paths.push_back(p); });
+  opt.num_threads = threads;
+  PathFinder finder(nl, testing::test_charlib("90nm"), opt);
+  EnumRun run;
+  std::vector<TruePath> paths;
+  run.stats = finder.run([&](const TruePath& p) { paths.push_back(p); });
+  run.fingerprints = testing::path_fingerprints(nl, paths);
+  return run;
+}
 
+// On seeded random netlists every thread count enumerates byte-identical
+// paths in identical order with identical course censuses and identical
+// search cost (trials, backtracks): workers change who searches a source,
+// never what is searched.
+TEST(ParallelPathFinder, SeededMatrixIsResultIdentical) {
+  for (const std::uint64_t seed : {2u, 9u, 17u, 23u, 31u}) {
+    const netlist::Netlist nl = generated_circuit(seed);
+    const EnumRun base = enumerate(nl, 1);
+    ASSERT_FALSE(base.fingerprints.empty()) << "seed " << seed;
+    for (const int threads : kThreadCounts) {
+      const EnumRun run = enumerate(nl, threads);
+      const std::string where =
+          "seed " + std::to_string(seed) + " threads " +
+          std::to_string(threads);
+      EXPECT_EQ(run.fingerprints, base.fingerprints) << where;
+      EXPECT_EQ(run.stats.paths_recorded, base.stats.paths_recorded)
+          << where;
+      EXPECT_EQ(run.stats.courses, base.stats.courses) << where;
+      EXPECT_EQ(run.stats.multi_vector_courses,
+                base.stats.multi_vector_courses)
+          << where;
+      EXPECT_EQ(run.stats.vector_trials, base.stats.vector_trials) << where;
+      EXPECT_EQ(run.stats.backtracks, base.stats.backtracks) << where;
+      EXPECT_FALSE(run.stats.truncated) << where;
+    }
+  }
+}
+
+/// Worst-path fingerprints, the rendered timing report and every endpoint
+/// slack (bit-exact) of one StaTool run.
+std::string render_report(const netlist::Netlist& nl, StaToolOptions opt) {
+  const StaResult res = StaTool(nl, testing::test_charlib("90nm"),
+                                tech::technology("90nm"), opt)
+                            .run();
+  std::ostringstream os;
+  for (const auto& tp : res.paths) {
+    os << testing::timed_fingerprint(nl, tp) << "\n";
+  }
+  const TimingReport rep = build_timing_report(nl, res, 0.9e-9);
+  os << format_timing_report(nl, rep);
+  for (const auto& ep : rep.endpoints) {
+    os << hex_double(ep.slack) << "\n";
+  }
+  return os.str();
+}
+
+// Full-pipeline report-byte identity on c17 at every thread count.
+TEST(ParallelPathFinder, C17ReportBytesIdenticalAcrossThreadCounts) {
+  const netlist::Netlist nl = c17();
+  StaToolOptions opt;
+  opt.keep_worst = 10;
+  opt.finder.num_threads = 1;
+  const std::string base = render_report(nl, opt);
+  ASSERT_FALSE(base.empty());
+  for (const int threads : kThreadCounts) {
+    opt.finder.num_threads = threads;
+    EXPECT_EQ(render_report(nl, opt), base) << "threads " << threads;
+  }
+}
+
+// Report-byte identity at c432 scale with the N-worst pruned search armed:
+// the shared pruning floor must stay sound at every thread count.  (The
+// *recorded superset* under n_worst is thread-count-dependent by design,
+// so the comparison is the kept top-N report, not raw search counters.)
+TEST(ParallelPathFinder, C432ScalePrunedReportBytesIdentical) {
+  const netlist::Netlist nl = c432_scale();
+  constexpr long kN = 12;
+  StaToolOptions opt;
+  opt.keep_worst = kN;
+  opt.finder.n_worst = kN;
+  opt.finder.num_threads = 1;
+  const std::string base = render_report(nl, opt);
+  ASSERT_FALSE(base.empty());
+  for (const int threads : kThreadCounts) {
+    opt.finder.num_threads = threads;
+    EXPECT_EQ(render_report(nl, opt), base) << "threads " << threads;
+  }
+}
+
+// Workers search whole sources, so a pool never starts more workers than
+// there are sources to claim — and the result is still the single-worker
+// one.
+TEST(ParallelPathFinder, WorkersCappedAtSourceCount) {
+  const netlist::Netlist nl = generated_circuit(9, 4, 60, 6);
+  ASSERT_EQ(nl.primary_inputs().size(), 4u);
+  const EnumRun base = enumerate(nl, 1);
+  ASSERT_FALSE(base.fingerprints.empty());
+
+  util::MetricsRegistry metrics;
+  PathFinderOptions opt;
   opt.num_threads = 8;
-  PathFinder parallel(nl, cl, opt);
-  std::vector<TruePath> got_paths;
-  const PathFinderStats got =
-      parallel.run([&](const TruePath& p) { got_paths.push_back(p); });
+  opt.metrics = &metrics;
+  PathFinder finder(nl, testing::test_charlib("90nm"), opt);
+  std::vector<TruePath> paths;
+  finder.run([&](const TruePath& p) { paths.push_back(p); });
+  EXPECT_EQ(testing::path_fingerprints(nl, paths), base.fingerprints);
 
-  EXPECT_EQ(got.paths_recorded, want.paths_recorded);
-  EXPECT_EQ(got.courses, want.courses);
-  EXPECT_EQ(got.multi_vector_courses, want.multi_vector_courses);
-  EXPECT_EQ(got.vector_trials, want.vector_trials);
-  EXPECT_FALSE(got.truncated);
-  ASSERT_FALSE(want_paths.empty());
-  EXPECT_EQ(testing::path_fingerprints(nl, got_paths),
-            testing::path_fingerprints(nl, want_paths));
+  const util::MetricsSnapshot snap = metrics.snapshot();
+  const auto workers = snap.counters.find("pathfinder.workers");
+  ASSERT_NE(workers, snap.counters.end());
+  EXPECT_LE(workers->second, 4);
+  EXPECT_EQ(snap.gauges.count("pathfinder.worker.4.busy_seconds"), 0u);
 }
 
 /// Top-N (course_key, vector, delay) set of an StaTool run.
@@ -189,6 +296,96 @@ TEST(ParallelPathFinder, MaxPathsIsExactAcrossWorkers) {
   EXPECT_EQ(stats.paths_recorded, 20);
   EXPECT_EQ(delivered.load(), 20);
   EXPECT_TRUE(stats.truncated);
+}
+
+// Parallel runs share one set of helper threads, and a run never waits for
+// a helper that has not started: while every helper is held inside another
+// run, a two-worker run finishes on its calling thread alone, with the
+// single-worker result.
+TEST(ParallelPathFinder, RunCompletesWhileEveryHelperIsBusy) {
+  const netlist::Netlist nl = generated_circuit(9);
+  const EnumRun base = enumerate(nl, 1);
+  ASSERT_FALSE(base.fingerprints.empty());
+
+  // The holding run parks each of its 8 workers at its first trial, which
+  // occupies every helper thread the shared pool has (no test here asks
+  // for more than 8 threads, so the pool holds at most 7).
+  constexpr int kHoldWorkers = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  int parked = 0;
+  bool released = false;
+  PathFinderOptions hold;
+  hold.num_threads = kHoldWorkers;
+  hold.test_trial_hook = [&](netlist::InstId) {
+    std::unique_lock<std::mutex> lk(mu);
+    ++parked;
+    cv.notify_all();
+    cv.wait(lk, [&] { return released; });
+  };
+  std::vector<std::string> held_fingerprints;
+  std::thread holder([&] {
+    PathFinder finder(nl, testing::test_charlib("90nm"), hold);
+    std::vector<TruePath> paths;
+    finder.run([&](const TruePath& p) { paths.push_back(p); });
+    held_fingerprints = testing::path_fingerprints(nl, paths);
+  });
+
+  bool all_parked = false;
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    all_parked = cv.wait_for(lk, std::chrono::seconds(60),
+                             [&] { return parked >= kHoldWorkers; });
+  }
+  std::future<EnumRun> second;
+  bool finished = false;
+  if (all_parked) {
+    second = std::async(std::launch::async, [&nl] { return enumerate(nl, 2); });
+    finished = second.wait_for(std::chrono::seconds(60)) ==
+               std::future_status::ready;
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    released = true;
+  }
+  cv.notify_all();
+  holder.join();
+
+  ASSERT_TRUE(all_parked) << "the holding run did not start " << kHoldWorkers
+                          << " workers";
+  EXPECT_TRUE(finished) << "a run waited for a helper that could not start";
+  const EnumRun run = second.get();
+  EXPECT_EQ(run.fingerprints, base.fingerprints);
+  EXPECT_EQ(run.stats.vector_trials, base.stats.vector_trials);
+  EXPECT_EQ(run.stats.backtracks, base.stats.backtracks);
+  EXPECT_EQ(held_fingerprints, base.fingerprints);
+}
+
+TEST(ThreadPool, GrowsOnDemandAndNeverShrinks) {
+  util::ThreadPool pool(1);
+  pool.grow_to(3);
+  EXPECT_EQ(pool.size(), 3u);
+  pool.grow_to(2);
+  EXPECT_EQ(pool.size(), 3u);
+  // Three tasks that each wait for all three to start can only finish on
+  // three distinct threads.
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::atomic<int> met{0};
+  for (int i = 0; i < 3; ++i) {
+    pool.submit([&] {
+      std::unique_lock<std::mutex> lk(mu);
+      ++started;
+      cv.notify_all();
+      if (cv.wait_for(lk, std::chrono::seconds(30),
+                      [&] { return started == 3; })) {
+        met.fetch_add(1);
+      }
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(met.load(), 3);
 }
 
 TEST(ThreadPool, RunsAllTasksAndWaitsIdle) {

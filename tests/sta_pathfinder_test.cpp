@@ -11,6 +11,7 @@
 #include "netlist/techmap.h"
 #include "sta/sta_tool.h"
 #include "tech/technology.h"
+#include "util/stopwatch.h"
 
 namespace sasta::sta {
 namespace {
@@ -218,6 +219,28 @@ TEST(PathFinder, C432HeavySourceSearchOrderIsPinned) {
   EXPECT_EQ(stats.backtracks, 2030687);
   EXPECT_EQ(stats.justify_limited, 849);
   EXPECT_EQ(stats.paths_recorded, 344);
+}
+
+// max_seconds bounds an exact (--budget -1) search: the justifier polls
+// the run's stop authority, so a solve in progress cannot hold the run past
+// its deadline.  c432 source I13 enters a single exact solve within its
+// first 0.3 s that, unpolled, runs for over 20 s.
+TEST(PathFinder, DeadlineStopsExactJustification) {
+  const netlist::Netlist nl =
+      netlist::tech_map(
+          netlist::generate_iscas_like(netlist::iscas_profile("c432")), lib())
+          .netlist;
+  const NetId source = nl.net_id("I13");
+  PathFinderOptions opt;
+  opt.num_threads = 1;
+  opt.justify_backtrack_budget = -1;
+  opt.max_seconds = 1.0;
+  opt.source_filter = [source](NetId n) { return n == source; };
+  PathFinder finder(nl, charlib(), opt);
+  util::Stopwatch watch;
+  const PathFinderStats stats = finder.run([](const TruePath&) {});
+  EXPECT_TRUE(stats.truncated);
+  EXPECT_LT(watch.elapsed_seconds(), opt.max_seconds + 1.0);
 }
 
 TEST(StaTool, DelaysOrderedAndVectorsDiffer) {

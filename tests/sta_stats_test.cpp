@@ -17,9 +17,6 @@ PathFinderStats sample(long base) {
   s.backtracks = base + 4;
   s.vector_trials = base + 5;
   s.justify_limited = base + 6;
-  s.tasks_spawned = base + 7;
-  s.tasks_stolen = base + 8;
-  s.steal_failures = base + 9;
   s.cpu_seconds = static_cast<double>(base);
   return s;
 }
@@ -33,9 +30,6 @@ TEST(PathFinderStats, CounterFieldsSum) {
   EXPECT_EQ(total.backtracks, 14 + 104);
   EXPECT_EQ(total.vector_trials, 15 + 105);
   EXPECT_EQ(total.justify_limited, 16 + 106);
-  EXPECT_EQ(total.tasks_spawned, 17 + 107);
-  EXPECT_EQ(total.tasks_stolen, 18 + 108);
-  EXPECT_EQ(total.steal_failures, 19 + 109);
 }
 
 TEST(PathFinderStats, CpuSecondsMergesAsMax) {

@@ -1,5 +1,5 @@
 // Shared byte-level path comparison helpers for the path-finder test
-// suites (parallel determinism, schedule identity).  A fingerprint
+// suites (parallel determinism, thread-count identity).  A fingerprint
 // captures everything a path report is built from — gate sequence,
 // sensitization vector choice per gate, launch direction, realizing
 // primary-input assignment, and bit-exact delays — so two runs whose

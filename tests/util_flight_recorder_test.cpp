@@ -224,15 +224,15 @@ TEST(FlightDump, KindNamesCoverAllKindsAndFallBackOnGarbage) {
                    static_cast<std::uint8_t>(FlightEventKind::kTrial)),
                "trial");
   EXPECT_STREQ(flight_event_kind_name(0xEE), "?");
-  // Kind values are part of the dump format: retired 4-8 stay unnamed and
-  // the kinds after them keep their numbers.
-  for (int retired = 4; retired <= 8; ++retired) {
+  // Kind values are part of the dump format: retired 4-8 and 11-12 stay
+  // unnamed and the kinds between them keep their numbers.
+  for (const int retired : {4, 5, 6, 7, 8, 11, 12}) {
     EXPECT_STREQ(flight_event_kind_name(static_cast<std::uint8_t>(retired)),
                  "?")
         << retired;
   }
   EXPECT_EQ(static_cast<int>(FlightEventKind::kBacktrackBurst), 9);
-  EXPECT_EQ(static_cast<int>(FlightEventKind::kTaskSteal), 12);
+  EXPECT_EQ(static_cast<int>(FlightEventKind::kPathRecorded), 10);
 }
 
 // --- Stall report + watchdog ------------------------------------------------

@@ -15,14 +15,6 @@
 //   --threads N          worker threads for path enumeration (default 0 =
 //                        all hardware threads; 1 = sequential).  Reported
 //                        paths are identical for every thread count.
-//   --schedule S         source | steal  (default source): how workers
-//                        share the search.  "source" hands each worker one
-//                        source PI at a time; "steal" splits every source's
-//                        DFS at its first fanout frontier into stealable
-//                        tasks so idle workers help on a dominant cone.
-//                        Results are bit-identical either way — stealing
-//                        changes who executes the work, never what is
-//                        searched or the order results are reported in.
 //   --baseline           also run the two-step commercial-style baseline
 //   --golden             verify reported paths with transistor-level
 //                        simulation
@@ -156,7 +148,7 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--tech T] [--paths N] [--prune] [--max-seconds S]\n"
-               "       [--budget B] [--threads N] [--schedule source|steal]\n"
+               "       [--budget B] [--threads N]\n"
                "       [--baseline] [--golden]\n"
                "       [--full-char]\n"
                "       [--temp T] [--vdd V] [--report] [--required NS]\n"
@@ -215,17 +207,6 @@ Options parse_args(int argc, char** argv) {
       f.justify_backtrack_budget = static_cast<int>(long_value(-1));
     } else if (a == "--threads") {
       f.num_threads = static_cast<int>(long_value(0));
-    } else if (a == "--schedule") {
-      const std::string mode = value();
-      if (mode == "source") {
-        f.schedule = sasta::sta::ScheduleMode::kSource;
-      } else if (mode == "steal") {
-        f.schedule = sasta::sta::ScheduleMode::kSteal;
-      } else {
-        std::cerr << "unknown --schedule mode '" << mode
-                  << "' (source | steal)\n";
-        usage(argv[0]);
-      }
     } else if (a == "--baseline") {
       o.baseline = true;
     } else if (a == "--golden") {
