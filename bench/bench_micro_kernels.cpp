@@ -15,6 +15,7 @@
 #include "netlist/techmap.h"
 #include "spice/transient.h"
 #include "sta/implication.h"
+#include "sta/logic_view.h"
 #include "sta/sta_tool.h"
 #include "util/rng.h"
 
@@ -62,25 +63,33 @@ void BM_LutModelEval(benchmark::State& state) {
 }
 BENCHMARK(BM_LutModelEval);
 
+// Forward implication of one steady primary-input assignment over c432,
+// in both scenarios (Arg 3) or in one (Arg 1): the kernel propagates only
+// the scenarios the caller still considers alive.
 void BM_ForwardImplication(benchmark::State& state) {
   const netlist::Netlist& nl = mapped_c432();
+  const auto scenarios = static_cast<unsigned>(state.range(0));
   sta::AssignmentState st(nl.num_nets());
   sta::ImplicationEngine eng(nl, st);
   const netlist::NetId pi = nl.primary_inputs()[0];
   for (auto _ : state) {
     st.reset();
-    benchmark::DoNotOptimize(eng.assign_steady(pi, true));
+    benchmark::DoNotOptimize(eng.assign_steady(pi, true, scenarios));
   }
 }
-BENCHMARK(BM_ForwardImplication);
+BENCHMARK(BM_ForwardImplication)
+    ->Arg(sta::kScenarioBoth)
+    ->Arg(sta::kScenarioR);
 
 // One three-valued evaluation of every c432 instance (four init/final
 // parts each) over a state where every net holds a random mix of 0, 1 and
-// X components — the implication engine's inner kernel.
+// X components — the implication engine's inner kernel, reading the gates
+// from a LogicView shared the way the path finder's workers share it.
 void BM_GateEval(benchmark::State& state) {
   const netlist::Netlist& nl = mapped_c432();
+  const sta::LogicView view(nl);
   sta::AssignmentState st(nl.num_nets());
-  sta::ImplicationEngine eng(nl, st);
+  sta::ImplicationEngine eng(view, st);
   util::Rng rng(8080);
   auto random_tri = [&] {
     return static_cast<logicsys::TriVal>(rng.next_below(3));
@@ -89,27 +98,29 @@ void BM_GateEval(benchmark::State& state) {
     st.refine(n, {random_tri(), random_tri()}, {random_tri(), random_tri()});
   }
   for (auto _ : state) {
-    for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+    for (netlist::InstId i = 0; i < view.num_instances(); ++i) {
       benchmark::DoNotOptimize(eng.evaluate(i));
     }
   }
-  state.SetItemsProcessed(state.iterations() * nl.num_instances());
+  state.SetItemsProcessed(state.iterations() * view.num_instances());
 }
 BENCHMARK(BM_GateEval);
 
+// Justification of a primary output to 1 from a fresh state, in both
+// scenarios (Arg 3) or in one (Arg 1).
 void BM_Justification(benchmark::State& state) {
   const netlist::Netlist& nl = mapped_c432();
-  // Justify a mid-level net to 1.
+  const auto scenarios = static_cast<unsigned>(state.range(0));
   netlist::NetId target = nl.primary_outputs()[0];
   sta::AssignmentState st(nl.num_nets());
   sta::ImplicationEngine eng(nl, st);
   sta::Justifier j(nl, st, eng);
   for (auto _ : state) {
     st.reset();
-    benchmark::DoNotOptimize(j.justify(target, true, sta::kScenarioBoth));
+    benchmark::DoNotOptimize(j.justify(target, true, scenarios));
   }
 }
-BENCHMARK(BM_Justification);
+BENCHMARK(BM_Justification)->Arg(sta::kScenarioBoth)->Arg(sta::kScenarioR);
 
 void BM_PathEnumerationC17(benchmark::State& state) {
   const auto mapped = netlist::tech_map(

@@ -6,6 +6,7 @@
 //  - boolean difference (for sensitization-vector enumeration).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -15,6 +16,35 @@
 #include "logicsys/trivalue.h"
 
 namespace sasta::cell {
+
+namespace detail {
+
+/// Minterms with input i at 1, over the full 6-input word.
+inline constexpr std::uint64_t kVarMask[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+/// Cube masks of pins `first`..`first`+2: entry (known << 3 | ones) is the
+/// set of minterms agreeing with every known pin of the group (`ones`
+/// outside `known` is ignored).
+constexpr std::array<std::uint64_t, 64> cube_mask_table(int first) {
+  std::array<std::uint64_t, 64> table{};
+  for (unsigned known = 0; known < 8; ++known) {
+    for (unsigned ones = 0; ones < 8; ++ones) {
+      std::uint64_t cube = ~std::uint64_t{0};
+      for (int i = 0; i < 3; ++i) {
+        if (!(known >> i & 1u)) continue;
+        cube &= (ones >> i & 1u) ? kVarMask[first + i] : ~kVarMask[first + i];
+      }
+      table[known << 3 | ones] = cube;
+    }
+  }
+  return table;
+}
+inline constexpr std::array<std::uint64_t, 64> kLowCubes = cube_mask_table(0);
+inline constexpr std::array<std::uint64_t, 64> kHighCubes = cube_mask_table(3);
+
+}  // namespace detail
 
 /// A cube over the cell inputs: input i is constrained to bit i of `values`
 /// iff bit i of `care` is set.
@@ -51,17 +81,29 @@ class TruthTable {
 
   /// eval3 with the inputs already packed: bit i of `known` is set iff input
   /// i is 0 or 1, and bit i of `ones` iff it is 1 (`ones` within `known`).
-  /// The cube mask is the AND of the known inputs' variable masks, so the
-  /// call is at most six word operations and two compares.
   logicsys::TriVal eval3(std::uint32_t known, std::uint32_t ones) const {
-    std::uint64_t cube = domain_mask(num_inputs_);
-    for (std::uint32_t k = known; k != 0; k &= k - 1) {
-      const int i = __builtin_ctz(k);
-      cube &= (ones >> i) & 1u ? kVarMask[i] : ~kVarMask[i];
-    }
-    const std::uint64_t on = bits_ & cube;
-    if (on == 0) return logicsys::TriVal::kZero;
-    return on == cube ? logicsys::TriVal::kOne : logicsys::TriVal::kX;
+    return eval3(bits_, domain_mask(num_inputs_), known, ones);
+  }
+
+  /// Packed eval3 over a raw table: `bits` of a function whose minterms are
+  /// `domain` (domain_mask of its arity).  Branch-free: the known inputs'
+  /// cube is the AND of two 3-variable cube-mask tables (pins 0-2, pins
+  /// 3-5), and the output is 0 if `bits` misses the cube, 1 if it covers
+  /// it, X otherwise.
+  static logicsys::TriVal eval3(std::uint64_t bits, std::uint64_t domain,
+                                std::uint32_t known, std::uint32_t ones) {
+    const std::uint64_t cube =
+        domain & detail::kLowCubes[(known & 7u) << 3 | (ones & 7u)] &
+        detail::kHighCubes[(known >> 3 & 7u) << 3 | (ones >> 3 & 7u)];
+    const std::uint64_t on = bits & cube;
+    return static_cast<logicsys::TriVal>(
+        static_cast<unsigned>(on != 0) * (2u - (on == cube)));
+  }
+
+  /// Minterms that exist for an n-input function.
+  static constexpr std::uint64_t domain_mask(int n) {
+    return n == 6 ? ~std::uint64_t{0}
+                  : (std::uint64_t{1} << (1u << n)) - 1;
   }
 
   /// All prime cubes c with f|c == target (ON-set or OFF-set primes).
@@ -83,16 +125,6 @@ class TruthTable {
   bool operator==(const TruthTable&) const = default;
 
  private:
-  /// Minterms with input i at 1, over the full 6-input word.
-  static constexpr std::uint64_t kVarMask[6] = {
-      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-  /// Minterms that exist for an n-input function.
-  static constexpr std::uint64_t domain_mask(int n) {
-    return n == 6 ? ~std::uint64_t{0}
-                  : (std::uint64_t{1} << (1u << n)) - 1;
-  }
-
   int num_inputs_ = 0;
   std::uint64_t bits_ = 0;
 };

@@ -4,52 +4,17 @@
 
 namespace sasta::sta {
 
-using logicsys::NineVal;
-
 AssignmentState::AssignmentState(int num_nets) {
   SASTA_CHECK(num_nets >= 0) << " net count";
   values_.assign(num_nets, DualVal{});
-  justified_.assign(num_nets, false);
-}
-
-void AssignmentState::remember(netlist::NetId n) {
-  trail_.push_back({n, values_[n], justified_[n]});
-}
-
-AssignmentState::RefineResult AssignmentState::refine(netlist::NetId n,
-                                                      const NineVal& vr,
-                                                      const NineVal& vf) {
-  SASTA_CHECK(n >= 0 && n < num_nets()) << " net " << n;
-  RefineResult res;
-  DualVal& cur = values_[n];
-
-  NineVal new_r = cur.r;
-  NineVal new_f = cur.f;
-  if (!cur.r.compatible(vr)) {
-    res.conflict |= kScenarioR;
-  } else {
-    new_r = cur.r.meet(vr);
-    if (!(new_r == cur.r)) res.changed |= kScenarioR;
-  }
-  if (!cur.f.compatible(vf)) {
-    res.conflict |= kScenarioF;
-  } else {
-    new_f = cur.f.meet(vf);
-    if (!(new_f == cur.f)) res.changed |= kScenarioF;
-  }
-  if (res.changed != kScenarioNone) {
-    remember(n);
-    if (res.changed & kScenarioR) cur.r = new_r;
-    if (res.changed & kScenarioF) cur.f = new_f;
-  }
-  return res;
+  justified_.assign(num_nets, 0);
 }
 
 void AssignmentState::mark_justified(netlist::NetId n) {
   SASTA_CHECK(n >= 0 && n < num_nets()) << " net " << n;
   if (justified_[n]) return;
   remember(n);
-  justified_[n] = true;
+  justified_[n] = 1;
 }
 
 void AssignmentState::rollback(Mark m) {
@@ -65,7 +30,7 @@ void AssignmentState::rollback(Mark m) {
 void AssignmentState::reset() {
   trail_.clear();
   for (auto& v : values_) v = DualVal{};
-  justified_.assign(justified_.size(), false);
+  justified_.assign(justified_.size(), 0);
 }
 
 }  // namespace sasta::sta

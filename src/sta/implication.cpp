@@ -1,80 +1,87 @@
 #include "sta/implication.h"
 
-#include <bit>
-#include <cstdint>
-#include <cstring>
+#include "util/check.h"
 
 namespace sasta::sta {
 
 using logicsys::NineVal;
-using logicsys::TriVal;
 
-// A DualVal is four TriVal bytes (r.init, r.fin, f.init, f.fin); with
-// kOne = 1 and kX = 2, bit 0 of a byte says "one" and bit 1 says "X".
-static_assert(sizeof(DualVal) == 4 &&
-              std::endian::native == std::endian::little);
-static_assert(static_cast<int>(TriVal::kOne) == 1 &&
-              static_cast<int>(TriVal::kX) == 2);
-
-DualVal ImplicationEngine::evaluate(netlist::InstId inst) const {
-  const netlist::Instance& g = nl_.instance(inst);
-  const int n = g.cell->num_inputs();
+std::uint32_t ImplicationEngine::eval_word(netlist::InstId inst,
+                                           unsigned scenarios) const {
+  const LogicView::Gate& g = view_->gate(inst);
+  const std::span<const netlist::NetId> ins = view_->inputs(inst);
   // One pass builds the (known, ones) input masks of all four parts: pin p
   // of part k lands on bit 8k + p of `ones` / `xs`.
   std::uint32_t ones = 0;
   std::uint32_t xs = 0;
-  for (int p = 0; p < n; ++p) {
-    std::uint32_t word = 0;
-    std::memcpy(&word, &state_.value(g.inputs[p]), sizeof word);
-    ones |= (word & 0x01010101u) << p;
-    xs |= ((word >> 1) & 0x01010101u) << p;
+  for (std::size_t p = 0; p < ins.size(); ++p) {
+    const std::uint32_t word = state_.word(ins[p]);
+    ones |= (word & kPartLsb) << p;
+    xs |= ((word >> 1) & kPartLsb) << p;
   }
-  const std::uint32_t pins = (1u << n) - 1;
-  const cell::TruthTable& tt = g.cell->function();
+  const std::uint32_t pins = (1u << ins.size()) - 1;
   auto part = [&](int k) {
-    return tt.eval3(~(xs >> 8 * k) & pins, (ones >> 8 * k) & pins);
+    return static_cast<std::uint32_t>(cell::TruthTable::eval3(
+               g.bits, g.domain, ~(xs >> 8 * k) & pins,
+               (ones >> 8 * k) & pins))
+           << 8 * k;
   };
-  DualVal out;
-  out.r.init = part(0);
-  out.r.fin = part(1);
-  out.f.init = part(2);
-  out.f.fin = part(3);
+  std::uint32_t out = 0x02020202u;  // every part X
+  if (scenarios & kScenarioR) out = (out & 0xFFFF0000u) | part(0) | part(1);
+  if (scenarios & kScenarioF) out = (out & 0x0000FFFFu) | part(2) | part(3);
   return out;
 }
 
-ImplicationEngine::Result ImplicationEngine::run_worklist() {
+DualVal ImplicationEngine::evaluate(netlist::InstId inst) const {
+  SASTA_CHECK(inst >= 0 && inst < view_->num_instances())
+      << " instance " << inst;
+  return dual_from_word(eval_word(inst, kScenarioBoth));
+}
+
+ImplicationEngine::Result ImplicationEngine::propagate_from(
+    netlist::NetId seed, unsigned changed, unsigned live) {
   Result res;
+  for (netlist::InstId i : view_->fanout(seed)) {
+    worklist_.push_back({i, changed});
+  }
   while (!worklist_.empty()) {
-    const netlist::InstId inst = worklist_.back();
+    const Pending p = worklist_.back();
     worklist_.pop_back();
-    const DualVal implied = evaluate(inst);
-    const netlist::NetId out = nl_.instance(inst).output;
-    const auto r = state_.refine(out, implied.r, implied.f);
-    res.conflict |= r.conflict;
+    const unsigned scenarios = p.scenarios & live;
+    if (scenarios == kScenarioNone) continue;
+    const netlist::NetId out = view_->gate(p.inst).output;
+    const auto r =
+        state_.refine_word(out, eval_word(p.inst, scenarios), scenarios);
+    if (r.conflict != kScenarioNone) {
+      // The scenario is dead: its remaining values are never read before
+      // the caller rolls back, so it stops propagating here.
+      res.conflict |= r.conflict;
+      live &= ~r.conflict;
+      if (live == kScenarioNone) {
+        worklist_.clear();
+        break;
+      }
+    }
     if (r.changed != kScenarioNone) {
-      for (const netlist::Fanout& f : nl_.net(out).fanouts) {
-        worklist_.push_back(f.inst);
+      for (netlist::InstId i : view_->fanout(out)) {
+        worklist_.push_back({i, r.changed});
       }
     }
   }
   return res;
 }
 
-ImplicationEngine::Result ImplicationEngine::propagate(netlist::NetId seed) {
-  for (const netlist::Fanout& f : nl_.net(seed).fanouts) {
-    worklist_.push_back(f.inst);
-  }
-  return run_worklist();
-}
-
 ImplicationEngine::Result ImplicationEngine::assign_steady(netlist::NetId n,
-                                                           bool value) {
-  const auto r = state_.refine_steady(n, value);
+                                                           bool value,
+                                                           unsigned scenarios) {
+  SASTA_CHECK(n >= 0 && n < view_->num_nets()) << " net " << n;
+  const NineVal v = NineVal::stable(value);
+  const auto r = state_.refine(n, DualVal{v, v}, scenarios);
   Result res;
   res.conflict = r.conflict;
   if (r.changed != kScenarioNone) {
-    const Result p = propagate(n);
-    res.conflict |= p.conflict;
+    res.conflict |=
+        propagate_from(n, r.changed, scenarios & ~r.conflict).conflict;
   }
   return res;
 }
@@ -82,12 +89,13 @@ ImplicationEngine::Result ImplicationEngine::assign_steady(netlist::NetId n,
 ImplicationEngine::Result ImplicationEngine::assign_dual(netlist::NetId n,
                                                          const NineVal& vr,
                                                          const NineVal& vf) {
-  const auto r = state_.refine(n, vr, vf);
+  SASTA_CHECK(n >= 0 && n < view_->num_nets()) << " net " << n;
+  const auto r = state_.refine(n, DualVal{vr, vf}, kScenarioBoth);
   Result res;
   res.conflict = r.conflict;
   if (r.changed != kScenarioNone) {
-    const Result p = propagate(n);
-    res.conflict |= p.conflict;
+    res.conflict |=
+        propagate_from(n, r.changed, kScenarioBoth & ~r.conflict).conflict;
   }
   return res;
 }

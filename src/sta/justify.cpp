@@ -1,12 +1,19 @@
 #include "sta/justify.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 
 #include "util/check.h"
 
 namespace sasta::sta {
+
+Justifier::Justifier(const netlist::Netlist& nl, AssignmentState& state,
+                     ImplicationEngine& engine,
+                     const netlist::Controllability* guide)
+    : view_(engine.view()), state_(state), engine_(engine), guide_(guide) {
+  SASTA_CHECK(nl.num_nets() == view_.num_nets() &&
+              nl.num_instances() == view_.num_instances())
+      << " the engine's view was built from another netlist";
+}
 
 Justifier::Result Justifier::justify_all(std::span<const Goal> goals,
                                          unsigned alive,
@@ -26,19 +33,18 @@ Justifier::Result Justifier::justify_all_inner(std::span<const Goal> goals,
                                                unsigned alive,
                                                int backtrack_budget) {
   if (supports_ == nullptr || goals.size() < 2) {
-    budget_ = backtrack_budget;
-    budget_start_ = backtracks_;
-    return solve_component(goals, alive);
+    work_.assign(goals.begin(), goals.end());
+    return solve_work(alive, backtrack_budget);
   }
 
   // Partition the goals into support-disjoint components: goals whose cones
   // share no free primary input cannot interact, so each component is an
   // independent satisfiability problem with its own budget.
   const std::size_t n = goals.size();
-  std::vector<int> parent(n);
-  for (std::size_t i = 0; i < n; ++i) parent[i] = static_cast<int>(i);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+  parent_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) parent_[i] = static_cast<int>(i);
+  auto find = [this](int x) {
+    while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
     return x;
   };
   auto overlap = [&](netlist::NetId a, netlist::NetId b) {
@@ -58,21 +64,26 @@ Justifier::Result Justifier::justify_all_inner(std::span<const Goal> goals,
     for (std::size_t j = i + 1; j < n; ++j) {
       if (find(static_cast<int>(i)) != find(static_cast<int>(j)) &&
           overlap(goals[i].net, goals[j].net)) {
-        parent[find(static_cast<int>(i))] = find(static_cast<int>(j));
+        parent_[find(static_cast<int>(i))] = find(static_cast<int>(j));
       }
     }
   }
-  std::map<int, std::vector<Goal>> components;
+  // Components are solved in ascending root order, each with its goals in
+  // index order: the order that fixes every budget-limited verdict.
+  order_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    components[find(static_cast<int>(i))].push_back(goals[i]);
+    order_[i] = {find(static_cast<int>(i)), static_cast<int>(i)};
   }
+  std::sort(order_.begin(), order_.end());
 
   Result res;
   res.alive = alive;
-  for (auto& [root, component] : components) {
-    budget_ = backtrack_budget;
-    budget_start_ = backtracks_;
-    const Result sub = solve_component(component, res.alive);
+  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+    work_.clear();
+    for (; end < n && order_[end].first == order_[begin].first; ++end) {
+      work_.push_back(goals[order_[end].second]);
+    }
+    const Result sub = solve_work(res.alive, backtrack_budget);
     res.backtrack_limited = res.backtrack_limited || sub.backtrack_limited;
     res.stopped = sub.stopped;
     res.alive &= sub.alive;
@@ -81,10 +92,10 @@ Justifier::Result Justifier::justify_all_inner(std::span<const Goal> goals,
   return res;
 }
 
-Justifier::Result Justifier::solve_component(std::span<const Goal> goals,
-                                             unsigned alive) {
-  std::vector<Goal> work(goals.begin(), goals.end());
-  return solve(work, 0, alive);
+Justifier::Result Justifier::solve_work(unsigned alive, int backtrack_budget) {
+  budget_ = backtrack_budget;
+  budget_start_ = backtracks_;
+  return solve(work_, 0, alive);
 }
 
 Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
@@ -95,20 +106,20 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
     return res;
   }
   SASTA_CHECK(goals.size() <=
-              static_cast<std::size_t>(nl_.num_nets()) * 4 + 64)
+              static_cast<std::size_t>(view_.num_nets()) * 4 + 64)
       << " runaway goal expansion (cycle?)";
 
   const auto [net, value] = goals[idx];
 
   // Constrain the line and propagate consequences.
-  const auto a = engine_.assign_steady(net, value);
+  const auto a = engine_.assign_steady(net, value, alive);
   alive &= ~a.conflict;
   if (alive == kScenarioNone) return res;
 
   // Already justified within this branch (same consistent value).
   if (state_.justified(net)) return solve(goals, idx + 1, alive);
 
-  const netlist::InstId driver = nl_.net(net).driver;
+  const netlist::InstId driver = view_.driver(net);
   if (driver == netlist::kNoId) {
     // Primary input: directly controllable.
     state_.mark_justified(net);
@@ -124,8 +135,9 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
   // literals (ternary-simulation steadiness and cube coverability are
   // equivalent).  Endpoint-stable-but-glitchy support fails every cube.
 
-  const netlist::Instance& g = nl_.instance(driver);
-  const std::vector<cell::Cube>& cubes = g.cell->prime_cubes(value);
+  const std::vector<cell::Cube>& cubes =
+      view_.gate(driver).cell->prime_cubes(value);
+  const std::span<const netlist::NetId> inputs = view_.inputs(driver);
 
   // Prune and order the branch choices:
   //  - a cube with a literal that already contradicts the state (in every
@@ -151,32 +163,29 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
   }
   std::size_t num_ranked = 0;
   {
+    // 0 = already satisfied, 1 = open, 2 = contradicts, tested on the
+    // state word: a literal is satisfied when every live part equals it,
+    // and contradicted when every live scenario knows a part that differs.
+    const std::uint32_t lanes = scenario_lanes(alive);
     auto literal_state = [&](netlist::NetId in, bool lit) {
-      // 0 = already satisfied, 1 = open, 2 = contradicts.
-      const auto want = logicsys::NineVal::stable(lit);
-      const DualVal& v = state_.value(in);
-      bool sat = true, contra = true;
-      if (alive & kScenarioR) {
-        if (!(v.r == want)) sat = false;
-        if (v.r.compatible(want)) contra = false;
-      }
-      if (alive & kScenarioF) {
-        if (!(v.f == want)) sat = false;
-        if (v.f.compatible(want)) contra = false;
-      }
-      return sat ? 0 : contra ? 2 : 1;
+      const std::uint32_t word = state_.word(in);
+      const std::uint32_t diff = word ^ (lit ? kPartLsb : 0u);
+      if ((diff & lanes * 0xFFu) == 0) return 0;
+      const std::uint32_t clash = ~(word >> 1) & diff & lanes;
+      return lane_scenarios(clash) == alive ? 2 : 1;
     };
     for (std::size_t c = 0; c < cubes.size(); ++c) {
       const cell::Cube& cube = cubes[c];
       long cost = 0;
       bool dead = false;
-      for (int p = 0; p < g.cell->num_inputs() && !dead; ++p) {
-        if (!cube.constrains(p)) continue;
-        const int s = literal_state(g.inputs[p], cube.literal(p));
+      for (std::uint32_t care = cube.care; care != 0 && !dead;
+           care &= care - 1) {
+        const int p = __builtin_ctz(care);
+        const int s = literal_state(inputs[p], cube.literal(p));
         if (s == 2) {
           dead = true;
         } else if (s == 1) {
-          cost += guide_ ? guide_->cost(g.inputs[p], cube.literal(p)) : 1;
+          cost += guide_ ? guide_->cost(inputs[p], cube.literal(p)) : 1;
         }
       }
       if (dead) continue;
@@ -192,10 +201,9 @@ Justifier::Result Justifier::solve(std::vector<Goal>& goals, std::size_t idx,
     const cell::Cube& cube = cubes[ranked[r].cube];
     const AssignmentState::Mark mark = state_.mark();
     const std::size_t saved_goals = goals.size();
-    for (int p = 0; p < g.cell->num_inputs(); ++p) {
-      if (cube.constrains(p)) {
-        goals.push_back({g.inputs[p], cube.literal(p)});
-      }
+    for (std::uint32_t care = cube.care; care != 0; care &= care - 1) {
+      const int p = __builtin_ctz(care);
+      goals.push_back({inputs[p], cube.literal(p)});
     }
     state_.mark_justified(net);
     const Result sub = solve(goals, idx + 1, alive);

@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/controllability.h"
@@ -48,10 +49,11 @@ class Justifier {
   /// controllability cost — a pure search heuristic that leaves
   /// completeness untouched but avoids pathological branch orders on
   /// reconvergent cones.
+  /// Reads the netlist through `engine`'s view; `nl` must be the netlist
+  /// that view was built from.
   Justifier(const netlist::Netlist& nl, AssignmentState& state,
             ImplicationEngine& engine,
-            const netlist::Controllability* guide = nullptr)
-      : nl_(nl), state_(state), engine_(engine), guide_(guide) {}
+            const netlist::Controllability* guide = nullptr);
 
   struct Result {
     unsigned alive = kScenarioNone;  ///< scenarios with a found witness
@@ -111,9 +113,10 @@ class Justifier {
   Result justify_all_inner(std::span<const Goal> goals, unsigned alive,
                            int backtrack_budget);
   Result solve(std::vector<Goal>& goals, std::size_t idx, unsigned alive);
-  Result solve_component(std::span<const Goal> goals, unsigned alive);
+  /// Solves work_, which holds one support component's goals.
+  Result solve_work(unsigned alive, int backtrack_budget);
 
-  const netlist::Netlist& nl_;
+  const LogicView& view_;
   AssignmentState& state_;
   ImplicationEngine& engine_;
   const netlist::Controllability* guide_ = nullptr;
@@ -121,6 +124,12 @@ class Justifier {
   std::function<bool()> stop_check_;
   const std::vector<std::vector<std::uint64_t>>* supports_ = nullptr;
   int excluded_bit_ = -1;
+  // Scratch reused by every call, so a solve allocates nothing once the
+  // vectors have grown: the union-find over goal indices, the goal indices
+  // in (component root, index) order, and the solver's goal stack.
+  std::vector<int> parent_;
+  std::vector<std::pair<int, int>> order_;
+  std::vector<Goal> work_;
   long backtracks_ = 0;
   long budget_start_ = 0;  ///< backtracks_ at justify_all entry
   int budget_ = -1;        ///< per-call budget; < 0 = unlimited

@@ -23,7 +23,7 @@ struct PathFinder::Worker {
   explicit Worker(PathFinder& owner)
       : pf(owner),
         state(owner.nl_.num_nets()),
-        engine(owner.nl_, state),
+        engine(owner.view_, state),
         justifier(owner.nl_, state, engine,
                   owner.opt_.use_scoap_guide ? &owner.guide_ : nullptr) {
     // A long solve must not outlive the run's deadline or a SIGINT: the
@@ -79,7 +79,7 @@ struct PathFinder::Worker {
 PathFinder::PathFinder(const netlist::Netlist& nl,
                        const charlib::CharLibrary& charlib,
                        const PathFinderOptions& options)
-    : nl_(nl), charlib_(charlib), opt_(options) {
+    : nl_(nl), charlib_(charlib), opt_(options), view_(nl) {
   util::TraceSpan span(opt_.trace, "pathfinder/prepare", 0);
   guide_ = netlist::compute_controllability(nl);
   reach_ = netlist::reaches_output(nl);
@@ -301,18 +301,18 @@ void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
       const AssignmentState::Mark mark = w.state.mark();
       const std::size_t saved_goals = w.goal_stack.size();
 
-      // Assign the vector's steady side values and propagate; the
-      // justification itself is NOT committed here (its decisions would
-      // over-constrain downstream gates) — the values become goals whose
-      // joint satisfiability is established once per complete path when it
-      // is recorded.
+      // Assign the vector's steady side values and propagate them in the
+      // live directions; the justification itself is NOT committed here
+      // (its decisions would over-constrain downstream gates) — the values
+      // become goals whose joint satisfiability is established once per
+      // complete path when it is recorded.
       unsigned sub = alive;
       bool ok = true;
       std::size_t first_new_goal = w.goal_stack.size();
       for (int q = 0; q < inst.cell->num_inputs() && ok; ++q) {
         if (q == f.pin) continue;
         const auto r =
-            w.engine.assign_steady(inst.inputs[q], vec.side_value(q));
+            w.engine.assign_steady(inst.inputs[q], vec.side_value(q), sub);
         sub &= ~r.conflict;
         if (sub == kScenarioNone) ok = false;
         w.goal_stack.push_back({inst.inputs[q], vec.side_value(q)});

@@ -13,11 +13,12 @@
 // state, so the enumeration is parallelized across sources: worker threads
 // pull source PIs from an atomic index, each carrying a private Worker
 // context (assignment state, implication engine, justifier, DFS stacks,
-// stats), while the netlist, characterized library, reachability,
-// PI-support bitsets, SCOAP guide and remaining-delay bounds are shared
-// read-only.  Recorded paths are buffered per source and merged in source
-// order after the join, so every thread count delivers the exact sequential
-// order (see PathFinderOptions::num_threads for the pruning caveat).
+// stats), while the netlist, its compiled logic view, characterized
+// library, reachability, PI-support bitsets, SCOAP guide and
+// remaining-delay bounds are shared read-only.  Recorded paths are buffered
+// per source and merged in source order after the join, so every thread
+// count delivers the exact sequential order (see
+// PathFinderOptions::num_threads for the pruning caveat).
 #pragma once
 
 #include <array>
@@ -255,6 +256,7 @@ class PathFinder {
   const netlist::Netlist& nl_;
   const charlib::CharLibrary& charlib_;
   PathFinderOptions opt_;
+  LogicView view_;  ///< the netlist's logic, compiled once for all workers
   netlist::Controllability guide_;
   std::vector<std::vector<std::uint64_t>> supports_;
   std::vector<int> pi_bit_;
