@@ -117,17 +117,15 @@ int run() {
     bench_json.add(
         {name, dev.stats.cpu_seconds, dev.stats.vector_trials, 1});
     if (metrics != nullptr) {
-      const std::string base = "table6." + name;
-      const util::CounterId vecs = metrics->counter(base + ".paths_recorded");
-      const util::CounterId multi =
-          metrics->counter(base + ".multi_vector_courses");
-      const util::CounterId trials =
-          metrics->counter(base + ".vector_trials");
-      const util::GaugeId cpu = metrics->gauge(base + ".cpu_seconds");
+      const std::string base = "table6." + name + ".";
+      std::vector<std::pair<util::CounterId, long>> counters;
+      for (const sta::SearchCounter& c : sta::kSearchCounters) {
+        counters.emplace_back(metrics->counter(base + std::string(c.name)),
+                              dev.stats.*c.field);
+      }
+      const util::GaugeId cpu = metrics->gauge(base + "cpu_seconds");
       util::MetricsShard& shard = metrics->create_shard();
-      shard.add(vecs, dev.stats.paths_recorded);
-      shard.add(multi, dev.stats.multi_vector_courses);
-      shard.add(trials, dev.stats.vector_trials);
+      for (const auto& [id, value] : counters) shard.add(id, value);
       shard.set(cpu, dev.stats.cpu_seconds);
     }
 

@@ -60,12 +60,9 @@ util::JsonValue path_json(const netlist::Netlist& nl,
 
 util::JsonValue stats_json(const sta::PathFinderStats& s) {
   util::JsonValue v = util::JsonValue::object();
-  v.set("paths_recorded", util::JsonValue::number(s.paths_recorded));
-  v.set("courses", util::JsonValue::number(s.courses));
-  v.set("multi_vector_courses",
-        util::JsonValue::number(s.multi_vector_courses));
-  v.set("vector_trials", util::JsonValue::number(s.vector_trials));
-  v.set("justify_limited", util::JsonValue::number(s.justify_limited));
+  for (const sta::SearchCounter& c : sta::kSearchCounters) {
+    v.set(std::string(c.name), util::JsonValue::number(s.*c.field));
+  }
   v.set("cpu_seconds", util::JsonValue::number(s.cpu_seconds));
   return v;
 }

@@ -5,12 +5,7 @@
 namespace sasta::sta {
 
 PathFinderStats& PathFinderStats::operator+=(const PathFinderStats& other) {
-  paths_recorded += other.paths_recorded;
-  courses += other.courses;
-  multi_vector_courses += other.multi_vector_courses;
-  backtracks += other.backtracks;
-  vector_trials += other.vector_trials;
-  justify_limited += other.justify_limited;
+  SearchCounters::operator+=(other);
   cpu_seconds = std::max(cpu_seconds, other.cpu_seconds);
   truncated = truncated || other.truncated;
   return *this;

@@ -447,13 +447,13 @@ void PathFinder::prepare_observability(
       "pathfinder.justify_depth", {1, 2, 4, 8, 16, 32, 64, 128});
   source_metric_ids_.reserve(sources.size());
   for (netlist::NetId src : sources) {
-    const std::string base = "pathfinder.source." + nl_.net(src).name;
-    source_metric_ids_.push_back(
-        {opt_.metrics->counter(base + ".vector_trials"),
-         opt_.metrics->counter(base + ".backtracks"),
-         opt_.metrics->counter(base + ".paths_recorded"),
-         opt_.metrics->counter(base + ".justify_limited"),
-         opt_.metrics->gauge(base + ".seconds")});
+    const std::string base = "pathfinder.source." + nl_.net(src).name + ".";
+    SourceMetricIds& ids = source_metric_ids_.emplace_back();
+    for (std::size_t i = 0; i < kSearchCounters.size(); ++i) {
+      ids.counters[i] =
+          opt_.metrics->counter(base + std::string(kSearchCounters[i].name));
+    }
+    ids.seconds = opt_.metrics->gauge(base + "seconds");
   }
   worker_metric_ids_.reserve(n_workers);
   for (unsigned t = 0; t < n_workers; ++t) {
@@ -513,7 +513,7 @@ void PathFinder::maybe_heartbeat() {
 
 void PathFinder::run_source(Worker& w, std::size_t source_index,
                             netlist::NetId source) {
-  const PathFinderStats before = w.stats;
+  const SearchCounters before = w.stats;
   if (w.rec != nullptr) {
     w.rec->set_source(static_cast<std::uint32_t>(source));
     w.rec->record(util::FlightEventKind::kSourceClaim, 0,
@@ -530,43 +530,37 @@ void PathFinder::run_source(Worker& w, std::size_t source_index,
     search_source(w, source);
   }
   const double seconds = source_watch.elapsed_seconds();
-  const long trials = w.stats.vector_trials - before.vector_trials;
+  // Every counter is charged to the source whose DFS produced it, and a
+  // source never spans workers, so this delta is exact.
+  SearchCounters delta = w.stats;
+  delta -= before;
   if (opt_.attribution != nullptr) {
-    // Each source is processed by exactly one worker, and the rows were
-    // sized before the pool started, so this write is contention-free and
-    // the deltas are exact.
+    // The rows were sized before the pool started, so this write is
+    // contention-free.
     SearchAttribution::SourceCost& row = opt_.attribution->sources[source_index];
+    static_cast<SearchCounters&>(row) = delta;
     row.source = source;
-    row.vector_trials = trials;
-    row.backtracks = w.stats.backtracks - before.backtracks;
-    row.paths_recorded = w.stats.paths_recorded - before.paths_recorded;
-    row.justify_limited = w.stats.justify_limited - before.justify_limited;
     row.seconds = seconds;
   }
   if (w.metrics != nullptr) {
     const SourceMetricIds& ids = source_metric_ids_[source_index];
-    w.metrics->add(ids.vector_trials, trials);
-    w.metrics->add(ids.backtracks, w.stats.backtracks - before.backtracks);
-    w.metrics->add(ids.paths_recorded,
-                   w.stats.paths_recorded - before.paths_recorded);
-    w.metrics->add(ids.justify_limited,
-                   w.stats.justify_limited - before.justify_limited);
+    for (std::size_t i = 0; i < kSearchCounters.size(); ++i) {
+      w.metrics->add(ids.counters[i], delta.*kSearchCounters[i].field);
+    }
     w.metrics->add(ids.seconds, seconds);
     const WorkerMetricIds& wid = worker_metric_ids_[w.tid];
     w.metrics->add(wid.sources, 1);
     w.metrics->add(wid.busy_seconds, seconds);
   }
   if (w.rec != nullptr) {
-    w.rec->record(
-        util::FlightEventKind::kSourceDone, 0,
-        static_cast<std::uint32_t>(source),
-        static_cast<std::uint32_t>(w.stats.paths_recorded -
-                                   before.paths_recorded));
+    w.rec->record(util::FlightEventKind::kSourceDone, 0,
+                  static_cast<std::uint32_t>(source),
+                  static_cast<std::uint32_t>(delta.paths_recorded));
     w.rec->note_source_done();
     w.rec->set_idle();
   }
   sources_done_.fetch_add(1, std::memory_order_relaxed);
-  trials_flushed_.fetch_add(trials, std::memory_order_relaxed);
+  trials_flushed_.fetch_add(delta.vector_trials, std::memory_order_relaxed);
   maybe_heartbeat();
 }
 

@@ -47,16 +47,13 @@ namespace sasta::sta {
 /// Like metrics/trace, attribution is observational: collecting it never
 /// changes enumerated paths.  Every cost figure is charged to exactly one
 /// owner, so the tables reconcile with PathFinderStats — the sources rows
-/// sum to the aggregate vector_trials/backtracks/paths_recorded/
-/// justify_limited, and the gates rows sum to vector_trials.
+/// sum to every aggregate counter of kSearchCounters, and the gates rows
+/// sum to vector_trials.
 struct SearchAttribution {
-  /// One row per searched source PI, in source order.
-  struct SourceCost {
+  /// One row per searched source PI, in source order: the source's share of
+  /// every search counter, plus its DFS wall clock.
+  struct SourceCost : SearchCounters {
     netlist::NetId source = netlist::kNoId;
-    long vector_trials = 0;
-    long backtracks = 0;
-    long paths_recorded = 0;
-    long justify_limited = 0;
     double seconds = 0.0;
   };
   /// One row per instance with any attributed trial; a vector trial is
@@ -272,10 +269,8 @@ class PathFinder {
   // Observability state (ids registered per run; all recording is gated on
   // opt_.metrics / opt_.trace being non-null).
   struct SourceMetricIds {
-    util::CounterId vector_trials;
-    util::CounterId backtracks;
-    util::CounterId paths_recorded;
-    util::CounterId justify_limited;
+    /// One counter per kSearchCounters row, in table order.
+    std::array<util::CounterId, kSearchCounters.size()> counters;
     util::GaugeId seconds;
   };
   struct WorkerMetricIds {

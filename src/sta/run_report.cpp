@@ -12,7 +12,10 @@ namespace {
 
 /// Every schema key is emitted through jkey() so tools/check_docs_sync can
 /// grep the report surface out of this file and hold docs/METRICS.md to it.
-std::string jkey(const char* name) { return util::json_quote(name); }
+/// Counter keys come from kSearchCounters, which the checker reads too.
+std::string jkey(std::string_view name) {
+  return util::json_quote(std::string(name));
+}
 
 /// The K gates with the most vector trials, totally ordered (trials
 /// descending, instance id ascending) so the table is deterministic for
@@ -98,15 +101,12 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
   os << "  " << jkey("totals") << ": {";
   if (in.stats != nullptr) {
     const PathFinderStats& s = *in.stats;
-    os << "\n    " << jkey("paths_recorded") << ": " << s.paths_recorded
-       << ",\n    " << jkey("courses") << ": " << s.courses << ",\n    "
-       << jkey("multi_vector_courses") << ": " << s.multi_vector_courses
-       << ",\n    " << jkey("vector_trials") << ": " << s.vector_trials
-       << ",\n    " << jkey("backtracks") << ": " << s.backtracks << ",\n    "
-       << jkey("justify_limited") << ": " << s.justify_limited << ",\n    "
-       << jkey("cpu_seconds") << ": " << num(s.cpu_seconds) << ",\n    "
-       << jkey("truncated") << ": " << (s.truncated ? "true" : "false")
-       << "\n  ";
+    for (const SearchCounter& c : kSearchCounters) {
+      os << "\n    " << jkey(c.name) << ": " << s.*c.field << ",";
+    }
+    os << "\n    " << jkey("cpu_seconds") << ": " << num(s.cpu_seconds)
+       << ",\n    " << jkey("truncated") << ": "
+       << (s.truncated ? "true" : "false") << "\n  ";
   }
   os << "},\n";
 
@@ -118,12 +118,11 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
     for (const SearchAttribution::SourceCost& r : in.attribution->sources) {
       if (r.source == netlist::kNoId) continue;  // source never searched
       os << sep << "\n      {" << jkey("name") << ": "
-         << util::json_quote(in.netlist->net(r.source).name) << ", "
-         << jkey("vector_trials") << ": " << r.vector_trials << ", "
-         << jkey("backtracks") << ": " << r.backtracks << ", "
-         << jkey("paths_recorded") << ": " << r.paths_recorded << ", "
-         << jkey("justify_limited") << ": " << r.justify_limited << ", "
-         << jkey("seconds") << ": " << num(r.seconds) << "}";
+         << util::json_quote(in.netlist->net(r.source).name) << ", ";
+      for (const SearchCounter& c : kSearchCounters) {
+        os << jkey(c.name) << ": " << r.*c.field << ", ";
+      }
+      os << jkey("seconds") << ": " << num(r.seconds) << "}";
       sep = ",";
     }
     if (*sep != '\0') os << "\n    ";
@@ -135,7 +134,8 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
     for (const SearchAttribution::GateCost& g : gates) {
       os << sep << "\n      {" << jkey("name") << ": "
          << util::json_quote(in.netlist->instance(g.inst).name) << ", "
-         << jkey("vector_trials") << ": " << g.vector_trials << "}";
+         << jkey(counter_name(&SearchCounters::vector_trials)) << ": "
+         << g.vector_trials << "}";
       sep = ",";
     }
     if (*sep != '\0') os << "\n    ";
@@ -236,76 +236,69 @@ std::string format_profile_summary(const RunReportInputs& in) {
 
 std::vector<std::string> selfcheck_run(const RunReportInputs& in) {
   std::vector<std::string> violations;
-  const auto eq = [&violations](const char* name, long got, long want) {
+  const auto eq = [&violations](const std::string& name, long got,
+                                long want) {
     if (got != want) {
-      violations.push_back(std::string(name) + ": got " +
-                           std::to_string(got) + " want " +
+      violations.push_back(name + ": got " + std::to_string(got) + " want " +
                            std::to_string(want));
-    }
-  };
-  const auto le = [&violations](const char* name, long lhs, long rhs) {
-    if (lhs > rhs) {
-      violations.push_back(std::string(name) + ": " + std::to_string(lhs) +
-                           " exceeds bound " + std::to_string(rhs));
     }
   };
   if (in.stats == nullptr) return violations;
   const PathFinderStats& s = *in.stats;
+  const auto name = [](long SearchCounters::*field) {
+    return std::string(counter_name(field));
+  };
 
-  // Internal stats invariants (always checkable).
-  le("courses <= paths_recorded", s.courses, s.paths_recorded);
-  le("multi_vector_courses <= courses", s.multi_vector_courses, s.courses);
+  // Internal stats invariants (always checkable): a course needs a record,
+  // a multi-vector course is a course.
+  const auto le = [&](long SearchCounters::*lhs, long SearchCounters::*rhs) {
+    if (s.*lhs > s.*rhs) {
+      violations.push_back(name(lhs) + " <= " + name(rhs) + ": " +
+                           std::to_string(s.*lhs) + " exceeds bound " +
+                           std::to_string(s.*rhs));
+    }
+  };
+  le(&SearchCounters::courses, &SearchCounters::paths_recorded);
+  le(&SearchCounters::multi_vector_courses, &SearchCounters::courses);
 
-  // Attribution rows vs aggregates: every cost unit is charged to exactly
+  // Attribution rows vs aggregates: every counter is charged to exactly
   // one source and (for trials) exactly one gate.
   if (in.attribution != nullptr) {
-    long src_trials = 0, src_backtracks = 0, src_paths = 0, src_limited = 0;
+    SearchCounters sum;
     for (const SearchAttribution::SourceCost& r : in.attribution->sources) {
-      if (r.source == netlist::kNoId) continue;
-      src_trials += r.vector_trials;
-      src_backtracks += r.backtracks;
-      src_paths += r.paths_recorded;
-      src_limited += r.justify_limited;
+      if (r.source != netlist::kNoId) sum += r;
     }
-    eq("sum(sources.vector_trials) == vector_trials", src_trials,
-       s.vector_trials);
-    eq("sum(sources.backtracks) == backtracks", src_backtracks,
-       s.backtracks);
-    eq("sum(sources.paths_recorded) == paths_recorded", src_paths,
-       s.paths_recorded);
-    eq("sum(sources.justify_limited) == justify_limited", src_limited,
-       s.justify_limited);
+    for (const SearchCounter& c : kSearchCounters) {
+      const std::string n(c.name);
+      eq("sum(sources." + n + ") == " + n, sum.*c.field, s.*c.field);
+    }
 
     long gate_trials = 0;
     for (const SearchAttribution::GateCost& g : in.attribution->gates) {
       gate_trials += g.vector_trials;
     }
-    eq("sum(gates.vector_trials) == vector_trials", gate_trials,
+    const std::string trials = name(&SearchCounters::vector_trials);
+    eq("sum(gates." + trials + ") == " + trials, gate_trials,
        s.vector_trials);
   }
 
   // Per-source metrics vs aggregates (the metrics layer's own view).
   if (in.metrics != nullptr) {
     const std::string prefix = "pathfinder.source.";
-    long m_trials = 0, m_backtracks = 0, m_paths = 0, m_limited = 0;
+    SearchCounters sum;
     bool any = false;
-    for (const auto& [name, value] : in.metrics->counters) {
-      if (name.rfind(prefix, 0) != 0) continue;
+    for (const auto& [key, value] : in.metrics->counters) {
+      if (key.rfind(prefix, 0) != 0) continue;
       any = true;
-      if (name.ends_with(".vector_trials")) m_trials += value;
-      if (name.ends_with(".backtracks")) m_backtracks += value;
-      if (name.ends_with(".paths_recorded")) m_paths += value;
-      if (name.ends_with(".justify_limited")) m_limited += value;
+      for (const SearchCounter& c : kSearchCounters) {
+        if (key.ends_with("." + std::string(c.name))) sum.*c.field += value;
+      }
     }
     if (any) {
-      eq("sum(metrics source vector_trials) == vector_trials", m_trials,
-         s.vector_trials);
-      eq("sum(metrics source backtracks) == backtracks", m_backtracks,
-         s.backtracks);
-      eq("sum(metrics source paths_recorded) == paths_recorded", m_paths,
-         s.paths_recorded);
-      eq("sum(metrics source justify_limited) == justify_limited",
-         m_limited, s.justify_limited);
+      for (const SearchCounter& c : kSearchCounters) {
+        const std::string n(c.name);
+        eq("sum(metrics source " + n + ") == " + n, sum.*c.field, s.*c.field);
+      }
     }
   }
 
@@ -318,10 +311,10 @@ std::vector<std::string> selfcheck_run(const RunReportInputs& in) {
       rec_trials += static_cast<long>(a.trials);
       rec_paths += static_cast<long>(a.paths);
     }
-    eq("sum(recorder lane trials) == vector_trials", rec_trials,
-       s.vector_trials);
-    eq("sum(recorder lane paths) == paths_recorded", rec_paths,
-       s.paths_recorded);
+    eq("sum(recorder lane trials) == " + name(&SearchCounters::vector_trials),
+       rec_trials, s.vector_trials);
+    eq("sum(recorder lane paths) == " + name(&SearchCounters::paths_recorded),
+       rec_paths, s.paths_recorded);
   }
   return violations;
 }

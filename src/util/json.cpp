@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/metrics.h"  // json_number
@@ -311,7 +312,12 @@ double JsonValue::as_double(double fallback) const {
 }
 
 long JsonValue::as_long(long fallback) const {
-  return kind_ == Kind::kNumber ? static_cast<long>(num_) : fallback;
+  if (kind_ != Kind::kNumber || std::isnan(num_)) return fallback;
+  // Saturate: converting an out-of-range double to long is undefined.
+  constexpr double kLimit = 0x1p63;
+  if (num_ >= kLimit) return std::numeric_limits<long>::max();
+  if (num_ < -kLimit) return std::numeric_limits<long>::min();
+  return static_cast<long>(num_);
 }
 
 const std::string& JsonValue::as_string() const {

@@ -176,6 +176,7 @@ std::string socket_path(const std::string& tag) {
 struct BatchAnswer {
   std::string report;
   std::vector<std::string> path_keys;
+  sta::SearchCounters stats;
 };
 
 BatchAnswer batch_c17(long paths, long fastest, double required_ns) {
@@ -193,6 +194,7 @@ BatchAnswer batch_c17(long paths, long fastest, double required_ns) {
   const sta::StaResult res = tool.run();
 
   BatchAnswer out;
+  out.stats = res.stats;
   out.report = sta::format_path(nl, cl, res.critical());
   const sta::TimingReport rep =
       sta::build_timing_report(nl, res, required_ns * 1e-9);
@@ -363,6 +365,43 @@ TEST(ServerIntegration, AnalyzeMatchesBatchAndWarmRepeatSkipsSearch) {
   ASSERT_TRUE(resp.find("result") != nullptr);
   EXPECT_TRUE(resp.get("result").get("charlib_reused").as_bool());
   EXPECT_GT(fx.counter("server.cache_reuse"), reuse_before);
+}
+
+// The `stats` object carries exactly the search-counter table plus
+// cpu_seconds, in table order, and counts only this request's searches: a
+// cold analyze matches the batch counters, a warm repeat is all zeros.
+TEST(ServerIntegration, AnalyzeStatsCarryEveryTableCounter) {
+  ServerFixture fx(test_options(socket_path("stats")));
+  ASSERT_TRUE(fx.server().listening());
+  LineClient client(socket_path("stats"));
+  ASSERT_TRUE(client.connected());
+
+  JsonValue p = JsonValue::object();
+  p.set("netlist", JsonValue::string("c17"));
+  JsonValue resp = client.call("load", std::move(p));
+  ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+  JsonValue params = JsonValue::object();
+  params.set("session", resp.get("result").get("session"));
+
+  std::vector<std::string> want_keys;
+  for (const sta::SearchCounter& c : sta::kSearchCounters) {
+    want_keys.emplace_back(c.name);
+  }
+  want_keys.emplace_back("cpu_seconds");
+  const sta::SearchCounters batch = batch_c17(10, 0, 1.0).stats;
+
+  for (const bool warm : {false, true}) {
+    resp = client.call("analyze", params);
+    ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+    const JsonValue& stats = resp.get("result").get("stats");
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : stats.members()) keys.push_back(key);
+    EXPECT_EQ(keys, want_keys) << stats.dump();
+    for (const sta::SearchCounter& c : sta::kSearchCounters) {
+      EXPECT_EQ(stats.get(c.name).as_long(-1), warm ? 0 : batch.*c.field)
+          << c.name << (warm ? " (warm)" : " (cold)");
+    }
+  }
 }
 
 TEST(ServerIntegration, EcoIncrementalEqualsForceColdOverTheSocket) {

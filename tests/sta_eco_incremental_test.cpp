@@ -454,5 +454,33 @@ TEST(EcoScopedReuse, SwapInOneComponentSparesTheOtherComponentsCaches) {
   EXPECT_EQ(incremental, cold_fingerprints(*session));
 }
 
+// --- Per-request deadline ---------------------------------------------------
+
+// A request's max_seconds reaches the justifier: with an unlimited
+// backtrack budget the c432 search runs for minutes, yet the request ends
+// truncated near its deadline.  A truncated search never marks its caches
+// valid, so the next deadline request re-searches every source.
+TEST(SessionDeadline, RequestMaxSecondsStopsAnUnboundedSearch) {
+  Session::Config cfg = session_config(2);
+  cfg.tool.finder.justify_backtrack_budget = -1;
+  Session session("c432",
+                  netlist::tech_map(netlist::generate_iscas_like(
+                                        netlist::iscas_profile("c432")),
+                                    testing::test_library())
+                      .netlist,
+                  borrowed_charlib(), &testing::test_library(),
+                  &tech::technology("90nm"), cfg);
+  Session::AnalyzeRequest req = analyze_request();
+  req.max_seconds = 0.3;
+  for (int round = 0; round < 2; ++round) {
+    const Session::AnalyzeOutcome out = session.analyze(req);
+    EXPECT_TRUE(out.truncated) << "round " << round;
+    EXPECT_EQ(out.sources_searched, out.sources_total) << "round " << round;
+    // Generous for sanitizer builds; without the deadline the search
+    // would not end for minutes.
+    EXPECT_LT(out.seconds, 5.0) << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace sasta

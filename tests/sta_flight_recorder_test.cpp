@@ -94,9 +94,8 @@ TEST(FlightRecorderNeutrality, ReportBytesIdenticalOnAndOffAcrossThreads) {
     EXPECT_EQ(off, base) << "threads " << threads;
     EXPECT_EQ(on, base) << "threads " << threads;
     // The counter stream must be untouched too, not just the report.
-    EXPECT_EQ(on_stats.vector_trials, off_stats.vector_trials);
-    EXPECT_EQ(on_stats.paths_recorded, off_stats.paths_recorded);
-    EXPECT_EQ(on_stats.courses, off_stats.courses);
+    EXPECT_EQ(SearchCounters(on_stats), SearchCounters(off_stats))
+        << "threads " << threads;
   }
 }
 
@@ -321,18 +320,23 @@ TEST(FlightRecorderSelfcheck, CleanRunReconcilesAndCorruptionIsCaught) {
   const std::vector<std::string> clean = selfcheck_run(in);
   EXPECT_TRUE(clean.empty()) << "unexpected violations, first: " << clean[0];
 
-  // Corrupt the aggregate trial count: attribution, metrics AND recorder
-  // views must all disagree now.
-  PathFinderStats corrupted = stats;
-  corrupted.vector_trials += 1;
-  in.stats = &corrupted;
-  const std::vector<std::string> caught = selfcheck_run(in);
-  EXPECT_FALSE(caught.empty()) << "corruption slipped through selfcheck";
-  bool mentions_trials = false;
-  for (const std::string& v : caught) {
-    if (v.find("vector_trials") != std::string::npos) mentions_trials = true;
+  // Corrupt each aggregate counter in turn: the attribution and metrics
+  // sums must both disagree, each with a diff line naming the counter.
+  for (const SearchCounter& c : kSearchCounters) {
+    PathFinderStats corrupted = stats;
+    corrupted.*c.field += 1;
+    in.stats = &corrupted;
+    const std::vector<std::string> caught = selfcheck_run(in);
+    const std::string name(c.name);
+    for (const std::string& view : {"sum(sources." + name + ")",
+                                    "sum(metrics source " + name + ")"}) {
+      bool named = false;
+      for (const std::string& v : caught) {
+        if (v.rfind(view, 0) == 0) named = true;
+      }
+      EXPECT_TRUE(named) << view << " missed the corrupted " << name;
+    }
   }
-  EXPECT_TRUE(mentions_trials) << "diff does not name the corrupted counter";
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "sta/run_report.h"
 #include "test_charlib.h"
 #include "test_json.h"
+#include "test_paths.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -118,18 +119,25 @@ TEST(RunReport, AttributionReconcilesWithAggregateStats) {
   const netlist::Netlist nl = generated_circuit(11);
   for (const int threads : {1, 4}) {
     const FullRun run = run_with_all_sinks(nl, threads);
-    long src_trials = 0, src_backtracks = 0, src_paths = 0, src_limited = 0;
+    SearchCounters sources_sum;
     for (const SearchAttribution::SourceCost& r : run.attribution.sources) {
-      if (r.source == netlist::kNoId) continue;
-      src_trials += r.vector_trials;
-      src_backtracks += r.backtracks;
-      src_paths += r.paths_recorded;
-      src_limited += r.justify_limited;
+      if (r.source != netlist::kNoId) sources_sum += r;
     }
-    EXPECT_EQ(src_trials, run.stats.vector_trials) << threads << " threads";
-    EXPECT_EQ(src_backtracks, run.stats.backtracks);
-    EXPECT_EQ(src_paths, run.stats.paths_recorded);
-    EXPECT_EQ(src_limited, run.stats.justify_limited);
+    EXPECT_EQ(sources_sum, SearchCounters(run.stats))
+        << threads << " threads";
+
+    // The per-source metrics carry every table counter and sum the same.
+    SearchCounters metrics_sum;
+    for (const SearchCounter& c : kSearchCounters) {
+      const std::string suffix = "." + std::string(c.name);
+      for (const auto& [key, value] : run.metrics.counters) {
+        if (key.starts_with("pathfinder.source.") && key.ends_with(suffix)) {
+          metrics_sum.*c.field += value;
+        }
+      }
+    }
+    EXPECT_EQ(metrics_sum, SearchCounters(run.stats))
+        << threads << " threads";
 
     long gate_trials = 0;
     for (const SearchAttribution::GateCost& g : run.attribution.gates) {

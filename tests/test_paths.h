@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -54,3 +55,15 @@ inline std::vector<std::string> path_fingerprints(
 }
 
 }  // namespace sasta::testing
+
+namespace sasta::sta {
+
+/// gtest printer for whole-table counter comparisons: `name=value` per
+/// table row, so a mismatch names the counter that moved.
+inline void PrintTo(const SearchCounters& c, std::ostream* os) {
+  for (const SearchCounter& row : kSearchCounters) {
+    *os << row.name << "=" << c.*row.field << " ";
+  }
+}
+
+}  // namespace sasta::sta

@@ -7,6 +7,7 @@
 // never silently consumed framing.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "util/json.h"
@@ -44,6 +45,16 @@ TEST(JsonParse, ScalarsAndNesting) {
   EXPECT_TRUE(doc.get("d").get("e").is_null());
   EXPECT_TRUE(doc.get("missing").is_null());
   EXPECT_EQ(doc.find("missing"), nullptr);
+}
+
+// Request ids and integer params go through as_long: a number outside
+// long's range saturates instead of hitting an undefined conversion.
+TEST(JsonParse, AsLongSaturatesOutOfRange) {
+  EXPECT_EQ(parse_ok("1e300").as_long(), std::numeric_limits<long>::max());
+  EXPECT_EQ(parse_ok("-1e300").as_long(), std::numeric_limits<long>::min());
+  EXPECT_EQ(parse_ok("1e400").as_long(), std::numeric_limits<long>::max());
+  EXPECT_EQ(parse_ok("9007199254740993").as_long(), 9007199254740992L);
+  EXPECT_EQ(parse_ok("-7.9").as_long(), -7);
 }
 
 TEST(JsonParse, UnicodeEscapes) {
