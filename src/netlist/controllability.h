@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -28,5 +29,15 @@ struct Controllability {
 /// cost for value v is 1 plus the cheapest prime cube of the cell function
 /// forcing v, where each literal costs the controllability of that input.
 Controllability compute_controllability(const netlist::Netlist& nl);
+/// The same, over a topological order the caller already holds.
+Controllability compute_controllability(const netlist::Netlist& nl,
+                                        std::span<const InstId> topo_order);
+
+/// {CC0, CC1} of one gate's output from its cell and input nets: the rule
+/// compute_controllability applies to each gate in topological order, so
+/// re-applying it from an edited gate forward reproduces a full pass.
+std::array<int, 2> gate_controllability(const cell::Cell& cell,
+                                        std::span<const NetId> inputs,
+                                        const Controllability& cc);
 
 }  // namespace sasta::netlist

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -108,7 +109,11 @@ Session::AnalyzeRequest parse_analyze_params(const util::JsonValue& p) {
   req.required_ns = p.get("required_ns").as_double(req.required_ns);
   req.want_report = p.get("report").as_bool(req.want_report);
   req.force_cold = p.get("force_cold").as_bool(req.force_cold);
-  req.threads = static_cast<int>(p.get("threads").as_long(req.threads));
+  // Saturate before narrowing: a huge count must not wrap into a small or
+  // negative int.  Session::analyze caps it at the hardware threads.
+  req.threads = static_cast<int>(
+      std::min<long>(p.get("threads").as_long(req.threads),
+                     std::numeric_limits<int>::max()));
   req.max_seconds = p.get("max_seconds").as_double(req.max_seconds);
   return req;
 }

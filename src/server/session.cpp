@@ -1,9 +1,9 @@
 #include "server/session.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
-#include "netlist/levelize.h"
 #include "server/protocol.h"
 #include "sta/delaycalc.h"
 #include "sta/eco.h"
@@ -11,6 +11,7 @@
 #include "sta/report.h"
 #include "sta/run_report.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace sasta::server {
 
@@ -20,6 +21,7 @@ Session::Session(std::string circuit, netlist::Netlist nl,
                  Config cfg)
     : circuit_(std::move(circuit)),
       nl_(std::move(nl)),
+      ctx_(nl_),
       charlib_(std::move(charlib)),
       library_(library),
       tech_(tech),
@@ -31,9 +33,8 @@ Session::Session(std::string circuit, netlist::Netlist nl,
   // The source universe mirrors PathFinder::run's: reach-filtered PIs in
   // PI order.  ECO edits never change connectivity, so it is stable for
   // the session's lifetime.
-  const std::vector<bool> reach = netlist::reaches_output(nl_);
   for (netlist::NetId pi : nl_.primary_inputs()) {
-    if (!reach[pi]) continue;
+    if (!ctx_.reach()[pi]) continue;
     source_index_.emplace(pi, sources_.size());
     sources_.emplace_back();
     sources_.back().source = pi;
@@ -44,7 +45,11 @@ Session::Session(std::string circuit, netlist::Netlist nl,
 }
 
 Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
-  util::Stopwatch watch;
+  return analyze(req, util::Stopwatch());
+}
+
+Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req,
+                                         const util::Stopwatch& watch) {
   AnalyzeOutcome out;
   if (req.force_cold) {
     for (SourceState& s : sources_) {
@@ -55,7 +60,13 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
   out.sources_total = sources_.size();
 
   sta::PathFinderOptions fopt = cfg_.tool.finder;
-  if (req.threads > 0) fopt.num_threads = req.threads;
+  // Results never depend on the thread count, and the helper pool never
+  // shrinks: a request gets at most one worker per hardware thread.
+  if (req.threads > 0) {
+    fopt.num_threads = static_cast<int>(std::min<unsigned>(
+        static_cast<unsigned>(req.threads),
+        util::ThreadPool::hardware_threads()));
+  }
   if (req.max_seconds > 0) fopt.max_seconds = req.max_seconds;
   util::MetricsRegistry metrics;
   sta::SearchAttribution attribution;
@@ -67,6 +78,9 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
     if (!sources_[i].paths_valid) dirty.push_back(i);
   }
 
+  // Stage boundaries on the request clock, recorded as the
+  // session.*_seconds gauges below.
+  const double prepared_at = watch.elapsed_seconds();
   sta::PathFinderStats stats{};
   if (!dirty.empty()) {
     std::vector<bool> wanted(nl_.num_nets(), false);
@@ -77,7 +91,7 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
       sources_[i].timed_valid = false;
     }
     fopt.source_filter = [&wanted](netlist::NetId s) { return wanted[s]; };
-    sta::PathFinder finder(nl_, *charlib_, fopt);
+    sta::PathFinder finder(ctx_, *charlib_, fopt);
     stats = finder.run([this](const sta::TruePath& p) {
       sources_[source_index_.at(p.source)].true_paths.push_back(p);
     });
@@ -91,6 +105,8 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
   }
   out.truncated = stats.truncated;
   out.sources_reused = out.sources_total - out.sources_searched;
+
+  const double searched_at = watch.elapsed_seconds();
 
   // Re-time stale sources from their cached enumerations.
   const sta::DelayCalculator calc(nl_, *charlib_, *tech_, delay_opt_);
@@ -107,14 +123,18 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
     ++out.sources_retimed;
   }
 
+  const double retimed_at = watch.elapsed_seconds();
+
   // Merge: per-source buffers in source order replay the exact delivery
-  // sequence batch StaTool::run sees, through the same selection.
+  // sequence batch StaTool::run sees, through the same selection.  It
+  // borrows the cached paths: sources_ outlives finish().
   sta::PathSelection selection(req.paths, req.fastest);
   for (const SourceState& s : sources_) {
     for (const sta::TimedPath& tp : s.timed) selection.add(tp);
   }
   selection.finish(out.result.paths, out.result.fastest);
   out.result.stats = stats;
+  const double merged_at = watch.elapsed_seconds();
 
   if (req.want_report && !out.result.paths.empty()) {
     out.report_text =
@@ -122,6 +142,22 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
     const sta::TimingReport rep =
         sta::build_timing_report(nl_, out.result, req.required_ns * 1e-9);
     out.report_text += "\n" + sta::format_timing_report(nl_, rep);
+  }
+
+  const double rendered_at = watch.elapsed_seconds();
+
+  const std::pair<const char*, double> stages[] = {
+      {"session.prepare_seconds", prepared_at},
+      {"session.search_seconds", searched_at - prepared_at},
+      {"session.retime_seconds", retimed_at - searched_at},
+      {"session.merge_seconds", merged_at - retimed_at},
+      {"session.render_seconds", rendered_at - merged_at},
+  };
+  std::vector<util::GaugeId> ids;
+  for (const auto& stage : stages) ids.push_back(metrics.gauge(stage.first));
+  util::MetricsShard& shard = metrics.create_shard();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    shard.set(ids[i], stages[i].second);
   }
 
   const util::MetricsSnapshot snapshot = metrics.snapshot();
@@ -142,6 +178,7 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req) {
 }
 
 Session::EcoOutcome Session::apply_eco(const EcoRequest& req) {
+  const util::Stopwatch watch;
   EcoOutcome out;
   if (req.op == kEcoRetargetCorner) {
     if (req.has_temp) delay_opt_.temperature_c = req.temp_c;
@@ -151,7 +188,7 @@ Session::EcoOutcome Session::apply_eco(const EcoRequest& req) {
     for (SourceState& s : sources_) s.timed_valid = false;
     out.dirty_sources = sources_.size();
     out.affected_instances = static_cast<std::size_t>(nl_.num_instances());
-    out.analyze = analyze(req.analyze);
+    out.analyze = analyze(req.analyze, watch);
     return out;
   }
 
@@ -179,6 +216,7 @@ Session::EcoOutcome Session::apply_eco(const EcoRequest& req) {
     }
     out.function_changed = !(inst.cell->function() == cell->function());
     nl_.replace_cell(target, cell);
+    ctx_.replace_cell(target, cell);
     const sta::EcoImpact impact = sta::compute_eco_impact(nl_, touched);
     for (const netlist::NetId src : impact.dirty_sources) {
       SourceState& s = sources_[source_index_.at(src)];
@@ -204,7 +242,7 @@ Session::EcoOutcome Session::apply_eco(const EcoRequest& req) {
     throw SessionError{kErrBadParams, "unknown eco op '" + req.op + "'"};
   }
 
-  out.analyze = analyze(req.analyze);
+  out.analyze = analyze(req.analyze, watch);
   return out;
 }
 

@@ -9,12 +9,17 @@
 //   search   re-enumerate true paths, but only for *dirty* sources (cold
 //            start: all of them; warm repeat: none; after an ECO: the
 //            cones sta::compute_eco_impact dirties).  Runs the unchanged
-//            PathFinder restricted via PathFinderOptions::source_filter.
+//            PathFinder restricted via PathFinderOptions::source_filter,
+//            on the session's resident sta::SearchContext: the logic
+//            view, SCOAP guide, reachability and PI supports are built
+//            once, at construction, not per request.
 //   re-time  recompute TimedPaths for sources whose timing is stale
 //            (delay options or drive scales moved) from cached TruePaths.
 //   merge    replay every per-source buffer, in source-PI order, through
 //            sta::PathSelection — the exact streaming selection batch
-//            StaTool::run applies to the same delivery sequence.
+//            StaTool::run applies to the same delivery sequence.  The
+//            selection borrows the cached paths and copies only the ones
+//            it retains.
 //
 // Bit-identity: per-source enumerations are independent and
 // order-deterministic, the merge order equals the finder's canonical
@@ -26,8 +31,10 @@
 // search never marks its sources' caches valid.
 //
 // ECO semantics (docs/SERVER.md):
-//   swap_gate        replace a cell, same pin count.  Dirty cones re-search
-//                    + re-time.
+//   swap_gate        replace a cell, same pin count.  The search context
+//                    recompiles that one gate and re-propagates SCOAP
+//                    controllability from it while values change; dirty
+//                    cones re-search + re-time.
 //   resize_cell      per-instance drive scale.  Logic is untouched, so NO
 //                    re-search — dirty cones only re-time their cached
 //                    paths.
@@ -44,8 +51,10 @@
 #include "cell/cell.h"
 #include "charlib/charlibrary.h"
 #include "netlist/netlist.h"
+#include "sta/search_context.h"
 #include "sta/sta_tool.h"
 #include "tech/technology.h"
+#include "util/stopwatch.h"
 
 namespace sasta::server {
 
@@ -72,6 +81,7 @@ class Session {
     bool want_report = true;  ///< render the report_timing-style text
     bool force_cold = false;  ///< drop all warm state first (full recompute)
     int threads = 0;          ///< > 0 overrides the session default
+                              ///< (capped at the hardware threads)
     double max_seconds = 0.0; ///< > 0 overrides the session default
   };
 
@@ -87,6 +97,8 @@ class Session {
     std::size_t sources_reused = 0;    ///< warm: answered from cache
     std::size_t sources_retimed = 0;   ///< timing recomputed (>= searched)
     bool truncated = false;
+    /// Wall clock of the whole request, the ECO edit included; the run
+    /// report's session.*_seconds gauges split it by stage.
     double seconds = 0.0;
   };
 
@@ -128,6 +140,11 @@ class Session {
   std::size_t num_sources() const { return sources_.size(); }
 
  private:
+  /// analyze() with the request's clock started by the caller, so an ECO
+  /// request's edit counts as its prepare stage.
+  AnalyzeOutcome analyze(const AnalyzeRequest& req,
+                         const util::Stopwatch& watch);
+
   struct SourceState {
     netlist::NetId source = netlist::kNoId;
     bool paths_valid = false;  ///< true_paths is the complete enumeration
@@ -138,6 +155,7 @@ class Session {
 
   std::string circuit_;
   netlist::Netlist nl_;
+  sta::SearchContext ctx_;  ///< follows nl_ through every swap_gate
   std::shared_ptr<const charlib::CharLibrary> charlib_;
   const cell::Library* library_;
   const tech::Technology* tech_;

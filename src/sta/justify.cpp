@@ -32,7 +32,7 @@ Justifier::Result Justifier::justify_all(std::span<const Goal> goals,
 Justifier::Result Justifier::justify_all_inner(std::span<const Goal> goals,
                                                unsigned alive,
                                                int backtrack_budget) {
-  if (supports_ == nullptr || goals.size() < 2) {
+  if (supports_.empty() || goals.size() < 2) {
     work_.assign(goals.begin(), goals.end());
     return solve_work(alive, backtrack_budget);
   }
@@ -48,9 +48,9 @@ Justifier::Result Justifier::justify_all_inner(std::span<const Goal> goals,
     return x;
   };
   auto overlap = [&](netlist::NetId a, netlist::NetId b) {
-    const auto& sa = (*supports_)[a];
-    const auto& sb = (*supports_)[b];
-    for (std::size_t w = 0; w < sa.size(); ++w) {
+    const std::uint64_t* sa = supports_.data() + a * words_;
+    const std::uint64_t* sb = supports_.data() + b * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
       std::uint64_t inter = sa[w] & sb[w];
       if (excluded_bit_ >= 0 &&
           static_cast<std::size_t>(excluded_bit_ / 64) == w) {

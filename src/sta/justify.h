@@ -83,16 +83,18 @@ class Justifier {
   long backtracks() const { return backtracks_; }
   void reset_backtracks() { backtracks_ = 0; }
 
-  /// Optional primary-input support table (one bitset of PI indices per
-  /// net).  When present, justify_all partitions its goals into
-  /// support-disjoint components and solves them independently: goals whose
-  /// cones share no free primary input cannot conflict, so cross-component
-  /// chronological backtracking (the classic thrashing pattern) is skipped
-  /// entirely.  `excluded_bit` removes one PI (the path's transition
-  /// source, which is fixed, not a decision) from the overlap test.
-  void set_supports(const std::vector<std::vector<std::uint64_t>>* supports,
-                    int excluded_bit = -1) {
+  /// Optional primary-input support table (borrowed): one bitset of PI
+  /// indices per net, `words` words each, laid out net after net.  When
+  /// present, justify_all partitions its goals into support-disjoint
+  /// components and solves them independently: goals whose cones share no
+  /// free primary input cannot conflict, so cross-component chronological
+  /// backtracking (the classic thrashing pattern) is skipped entirely.  `excluded_bit` removes one PI (the path's transition
+  /// source, which is fixed, not a decision) from the overlap test.  An
+  /// empty table turns partitioning off.
+  void set_supports(std::span<const std::uint64_t> supports,
+                    std::size_t words, int excluded_bit = -1) {
     supports_ = supports;
+    words_ = words;
     excluded_bit_ = excluded_bit;
   }
 
@@ -122,7 +124,8 @@ class Justifier {
   const netlist::Controllability* guide_ = nullptr;
   util::FlightLane* rec_ = nullptr;
   std::function<bool()> stop_check_;
-  const std::vector<std::vector<std::uint64_t>>* supports_ = nullptr;
+  std::span<const std::uint64_t> supports_;
+  std::size_t words_ = 0;
   int excluded_bit_ = -1;
   // Scratch reused by every call, so a solve allocates nothing once the
   // vectors have grown: the union-find over goal indices, the goal indices

@@ -19,11 +19,8 @@ LogicView::LogicView(const netlist::Netlist& nl) {
   std::uint32_t pin = 0;
   for (std::size_t i = 0; i < insts.size(); ++i) {
     const netlist::Instance& inst = insts[i];
-    const cell::TruthTable& tt = inst.cell->function();
     Gate& g = gates_[i];
-    g.bits = tt.bits();
-    g.domain = cell::TruthTable::domain_mask(tt.num_inputs());
-    g.cell = inst.cell;
+    replace_cell(static_cast<netlist::InstId>(i), inst.cell);
     g.input_begin = pin;
     g.output = inst.output;
     for (netlist::NetId in : inst.inputs) inputs_[pin++] = in;
@@ -37,6 +34,14 @@ LogicView::LogicView(const netlist::Netlist& nl) {
     for (const netlist::Fanout& f : nets[n].fanouts) fanout_[at++] = f.inst;
   }
   fanout_begin_.back() = at;
+}
+
+void LogicView::replace_cell(netlist::InstId i, const cell::Cell* cell) {
+  const cell::TruthTable& tt = cell->function();
+  Gate& g = gates_[i];
+  g.bits = tt.bits();
+  g.domain = cell::TruthTable::domain_mask(tt.num_inputs());
+  g.cell = cell;
 }
 
 }  // namespace sasta::sta

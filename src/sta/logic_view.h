@@ -11,9 +11,10 @@
 //    slice of a flat input-net array;
 //  - per net: its driver and a CSR slice of fanout instances.
 //
-// A view never changes after construction, so every search worker reads
-// one shared view.  It mirrors the netlist at the moment it was built: an
-// ECO edit (Netlist::replace_cell) needs a new view.
+// Search workers only read a view, so they all share one.  It mirrors the
+// netlist's logic: after an ECO cell swap (Netlist::replace_cell) its owner
+// patches the one gate with replace_cell(), between searches.  Connectivity
+// never changes, so nothing else in the view ever moves.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +36,8 @@ class LogicView {
     const cell::Cell* cell = nullptr;
     std::uint32_t input_begin = 0;  ///< offset into the flat input array
     netlist::NetId output = netlist::kNoId;
+
+    bool operator==(const Gate&) const = default;
   };
 
   int num_nets() const { return static_cast<int>(driver_.size()); }
@@ -52,6 +55,12 @@ class LogicView {
     return {fanout_.data() + fanout_begin_[n],
             fanout_begin_[n + 1] - fanout_begin_[n]};
   }
+
+  /// Recompiles instance `i` for `cell`, which has the same pin count as
+  /// the cell it replaces.  Must not run while a search reads the view.
+  void replace_cell(netlist::InstId i, const cell::Cell* cell);
+
+  bool operator==(const LogicView&) const = default;
 
  private:
   /// num_instances() + 1 entries; the last is a sentinel whose input_begin

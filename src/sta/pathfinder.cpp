@@ -6,7 +6,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "netlist/levelize.h"
 #include "util/check.h"
 #include "util/log.h"
 #include "util/strings.h"
@@ -23,9 +22,9 @@ struct PathFinder::Worker {
   explicit Worker(PathFinder& owner)
       : pf(owner),
         state(owner.nl_.num_nets()),
-        engine(owner.view_, state),
+        engine(owner.ctx_.view(), state),
         justifier(owner.nl_, state, engine,
-                  owner.opt_.use_scoap_guide ? &owner.guide_ : nullptr) {
+                  owner.opt_.use_scoap_guide ? &owner.ctx_.guide() : nullptr) {
     // A long solve must not outlive the run's deadline or a SIGINT: the
     // justifier polls the same stop authority as the DFS.
     justifier.set_stop_check([this] {
@@ -76,34 +75,29 @@ struct PathFinder::Worker {
   std::vector<long> gate_trials;
 };
 
+namespace {
+
+std::unique_ptr<const SearchContext> prepare_context(
+    const netlist::Netlist& nl, util::TraceCollector* trace) {
+  util::TraceSpan span(trace, "pathfinder/prepare", 0);
+  return std::make_unique<const SearchContext>(nl);
+}
+
+}  // namespace
+
 PathFinder::PathFinder(const netlist::Netlist& nl,
                        const charlib::CharLibrary& charlib,
                        const PathFinderOptions& options)
-    : nl_(nl), charlib_(charlib), opt_(options), view_(nl) {
-  util::TraceSpan span(opt_.trace, "pathfinder/prepare", 0);
-  guide_ = netlist::compute_controllability(nl);
-  reach_ = netlist::reaches_output(nl);
+    : owned_ctx_(prepare_context(nl, options.trace)),
+      ctx_(*owned_ctx_),
+      nl_(nl),
+      charlib_(charlib),
+      opt_(options) {}
 
-  // Primary-input support bitsets per net, for the justifier's
-  // support-disjoint goal partitioning.
-  const int num_pis = static_cast<int>(nl.primary_inputs().size());
-  const std::size_t words = (num_pis + 63) / 64;
-  supports_.assign(nl.num_nets(), std::vector<std::uint64_t>(words, 0));
-  pi_bit_.assign(nl.num_nets(), -1);
-  for (int i = 0; i < num_pis; ++i) {
-    const netlist::NetId pi = nl.primary_inputs()[i];
-    pi_bit_[pi] = i;
-    supports_[pi][i / 64] |= std::uint64_t{1} << (i % 64);
-  }
-  const auto lv = netlist::levelize(nl);
-  for (netlist::InstId ii : lv.topo_order) {
-    const netlist::Instance& inst = nl.instance(ii);
-    auto& out = supports_[inst.output];
-    for (netlist::NetId in : inst.inputs) {
-      for (std::size_t w = 0; w < words; ++w) out[w] |= supports_[in][w];
-    }
-  }
-}
+PathFinder::PathFinder(const SearchContext& ctx,
+                       const charlib::CharLibrary& charlib,
+                       const PathFinderOptions& options)
+    : ctx_(ctx), nl_(ctx.netlist()), charlib_(charlib), opt_(options) {}
 
 void PathFinder::enable_n_worst_pruning(const DelayCalculator& calc) {
   prune_calc_ = &calc;
@@ -116,10 +110,12 @@ void PathFinder::enable_n_worst_pruning(const DelayCalculator& calc) {
   const double slew_ub = 8.0 * calc.options().input_slew_s;
   remaining_ub_.assign(nl_.num_nets(), -1.0);
   for (netlist::NetId po : nl_.primary_outputs()) remaining_ub_[po] = 0.0;
-  const auto lv = netlist::levelize(nl_);
-  for (auto it = lv.topo_order.rbegin(); it != lv.topo_order.rend(); ++it) {
+  const std::vector<netlist::InstId>& topo = ctx_.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const netlist::Instance& inst = nl_.instance(*it);
-    if (remaining_ub_[inst.output] < 0.0 && !reach_[inst.output]) continue;
+    if (remaining_ub_[inst.output] < 0.0 && !ctx_.reach()[inst.output]) {
+      continue;
+    }
     const charlib::CellTiming& ct = charlib_.timing(inst.cell->name());
     const double fo = calc.equivalent_fanout(*it, inst.output);
     // Max arc delay into this instance over pins, vectors and edges.
@@ -281,7 +277,7 @@ void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
   for (const netlist::Fanout& f : nl_.net(net).fanouts) {
     if (stop_.load(std::memory_order_relaxed)) return;
     const netlist::Instance& inst = nl_.instance(f.inst);
-    if (!reach_[inst.output]) continue;
+    if (!ctx_.reach()[inst.output]) continue;
     const charlib::CellTiming& timing = charlib_.timing(inst.cell->name());
     const auto& vectors = timing.vectors.at(f.pin);
     for (const charlib::SensitizationVector& vec : vectors) {
@@ -569,7 +565,8 @@ void PathFinder::search_source(Worker& w, netlist::NetId source) {
   w.goal_stack.clear();
   w.steps.clear();
   w.justifier.reset_backtracks();
-  w.justifier.set_supports(&supports_, pi_bit_[source]);
+  w.justifier.set_supports(ctx_.supports(), ctx_.support_words(),
+                           ctx_.pi_bit()[source]);
   w.current_source = source;
   if (prune_calc_ != nullptr && opt_.n_worst > 0) {
     w.arrival_stack.clear();
@@ -642,7 +639,7 @@ PathFinderStats PathFinder::run(
 
   std::vector<netlist::NetId> sources;
   for (netlist::NetId pi : nl_.primary_inputs()) {
-    if (!reach_[pi]) continue;
+    if (!ctx_.reach()[pi]) continue;
     if (opt_.source_filter && !opt_.source_filter(pi)) continue;
     sources.push_back(pi);
   }

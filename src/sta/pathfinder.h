@@ -13,11 +13,13 @@
 // state, so the enumeration is parallelized across sources: worker threads
 // pull source PIs from an atomic index, each carrying a private Worker
 // context (assignment state, implication engine, justifier, DFS stacks,
-// stats), while the netlist, its compiled logic view, characterized
-// library, reachability, PI-support bitsets, SCOAP guide and
-// remaining-delay bounds are shared read-only.  Recorded paths are buffered
-// per source and merged in source order after the join, so every thread
-// count delivers the exact sequential order (see
+// stats), while the netlist, characterized library, remaining-delay bounds
+// and the SearchContext (compiled logic view, reachability, PI-support
+// bitsets, SCOAP guide) are shared read-only.  A finder builds and owns its
+// context, or borrows one its caller keeps resident across runs and patches
+// between them (the serve-mode session does, across ECO swaps).  Recorded
+// paths are buffered per source and merged in source order after the join,
+// so every thread count delivers the exact sequential order (see
 // PathFinderOptions::num_threads for the pruning caveat).
 #pragma once
 
@@ -31,6 +33,7 @@
 #include "sta/delaycalc.h"
 #include "sta/justify.h"
 #include "sta/path.h"
+#include "sta/search_context.h"
 #include "util/flight_recorder.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
@@ -187,7 +190,12 @@ struct PathFinderOptions {
 
 class PathFinder {
  public:
+  /// Builds and owns the search context of `nl`.
   PathFinder(const netlist::Netlist& nl, const charlib::CharLibrary& charlib,
+             const PathFinderOptions& options = {});
+  /// Borrows `ctx` (and its netlist), which must outlive the finder and
+  /// stay unpatched while run() reads it.
+  PathFinder(const SearchContext& ctx, const charlib::CharLibrary& charlib,
              const PathFinderOptions& options = {});
 
   /// Enumerates all true paths, invoking `sink` for each.  Returns stats.
@@ -249,15 +257,12 @@ class PathFinder {
     return prune_floor_.load(std::memory_order_relaxed);
   }
 
-  // Shared read-only search artifacts (built once in the constructor).
+  // Shared read-only search artifacts.
+  std::unique_ptr<const SearchContext> owned_ctx_;  ///< null when borrowed
+  const SearchContext& ctx_;
   const netlist::Netlist& nl_;
   const charlib::CharLibrary& charlib_;
   PathFinderOptions opt_;
-  LogicView view_;  ///< the netlist's logic, compiled once for all workers
-  netlist::Controllability guide_;
-  std::vector<std::vector<std::uint64_t>> supports_;
-  std::vector<int> pi_bit_;
-  std::vector<bool> reach_;
 
   // Run-scoped shared state.
   const std::function<void(const TruePath&)>* sink_ = nullptr;

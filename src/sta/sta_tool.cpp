@@ -28,67 +28,86 @@ StaTool::StaTool(const netlist::Netlist& nl,
       opt_(options),
       calc_(nl, charlib, tech, options.delay) {}
 
-namespace {
-
-// Min-heap on delay when keeping only the N worst.
-bool heap_cmp(const TimedPath& a, const TimedPath& b) {
-  return a.delay > b.delay;
-}
-// Max-heap comparator for the keep-fastest set (front = largest delay,
-// evicted when a faster path arrives).
-bool fast_cmp(const TimedPath& a, const TimedPath& b) {
-  return a.delay < b.delay;
-}
-
-}  // namespace
-
 PathSelection::PathSelection(long keep_worst, long keep_fastest)
     : keep_worst_(keep_worst), keep_fastest_(keep_fastest) {}
 
-void PathSelection::add(TimedPath timed) {
+void PathSelection::add(const TimedPath& timed) { insert({&timed, -1}); }
+
+void PathSelection::add(TimedPath&& timed) {
+  int slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<int>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.path = std::move(timed);
+  s.refs = 1;
+  const Handle h{&s.path, slot};
+  insert(h);
+  release(h);
+}
+
+void PathSelection::retain(Handle h) {
+  if (h.slot >= 0) ++slots_[h.slot].refs;
+}
+
+void PathSelection::release(Handle h) {
+  if (h.slot >= 0 && --slots_[h.slot].refs == 0) free_slots_.push_back(h.slot);
+}
+
+void PathSelection::insert(Handle h) {
   if (keep_fastest_ > 0) {
     if (static_cast<long>(fastest_.size()) < keep_fastest_) {
-      fastest_.push_back(timed);
-      std::push_heap(fastest_.begin(), fastest_.end(), fast_cmp);
-    } else if (timed.delay < fastest_.front().delay) {
-      std::pop_heap(fastest_.begin(), fastest_.end(), fast_cmp);
-      fastest_.back() = timed;
-      std::push_heap(fastest_.begin(), fastest_.end(), fast_cmp);
+      fastest_.push_back(h);
+      retain(h);
+      std::push_heap(fastest_.begin(), fastest_.end(), faster);
+    } else if (h.path->delay < fastest_.front().path->delay) {
+      std::pop_heap(fastest_.begin(), fastest_.end(), faster);
+      release(fastest_.back());
+      fastest_.back() = h;
+      retain(h);
+      std::push_heap(fastest_.begin(), fastest_.end(), faster);
     }
   }
-  if (keep_worst_ < 0) {
-    paths_.push_back(std::move(timed));
-    return;
+  paths_.push_back(h);
+  retain(h);
+  if (keep_worst_ < 0) return;
+  // Push, then evict the best of keep_worst + 1: the heap never holds more
+  // than keep_worst paths between calls.
+  std::push_heap(paths_.begin(), paths_.end(), slower);
+  if (static_cast<long>(paths_.size()) > keep_worst_) {
+    std::pop_heap(paths_.begin(), paths_.end(), slower);
+    release(paths_.back());
+    paths_.pop_back();
   }
-  if (static_cast<long>(paths_.size()) <= keep_worst_) {
-    paths_.push_back(std::move(timed));
-    std::push_heap(paths_.begin(), paths_.end(), heap_cmp);
-    if (static_cast<long>(paths_.size()) > keep_worst_) {
-      std::pop_heap(paths_.begin(), paths_.end(), heap_cmp);
-      paths_.pop_back();
-    }
-  } else if (timed.delay > paths_.front().delay) {
-    std::pop_heap(paths_.begin(), paths_.end(), heap_cmp);
-    paths_.back() = std::move(timed);
-    std::push_heap(paths_.begin(), paths_.end(), heap_cmp);
-  }
+}
+
+TimedPath PathSelection::take(Handle h) {
+  if (h.slot < 0) return *h.path;
+  Slot& s = slots_[h.slot];
+  if (--s.refs == 0) return std::move(s.path);
+  return s.path;
 }
 
 void PathSelection::finish(std::vector<TimedPath>& paths,
                            std::vector<TimedPath>& fastest) {
-  // Stable sorts keep equal-delay paths in delivery order, which the finder
-  // guarantees is the sequential source-then-discovery order for every
-  // thread count — so the reported list is deterministic even under ties.
-  std::stable_sort(paths_.begin(), paths_.end(),
-                   [](const TimedPath& a, const TimedPath& b) {
-                     return a.delay > b.delay;
-                   });
-  std::stable_sort(fastest_.begin(), fastest_.end(),
-                   [](const TimedPath& a, const TimedPath& b) {
-                     return a.delay < b.delay;
-                   });
-  paths = std::move(paths_);
-  fastest = std::move(fastest_);
+  // Stable sorts keep equal-delay paths in the order the selection holds
+  // them: delivery order when every path is kept, heap order when a bounded
+  // heap retained them.  Both are functions of the delivery sequence alone,
+  // which the finder fixes to the sequential source-then-discovery order
+  // for every thread count — so the reported lists are deterministic even
+  // under ties.
+  std::stable_sort(paths_.begin(), paths_.end(), slower);
+  std::stable_sort(fastest_.begin(), fastest_.end(), faster);
+  paths.clear();
+  paths.reserve(paths_.size());
+  for (const Handle& h : paths_) paths.push_back(take(h));
+  fastest.clear();
+  fastest.reserve(fastest_.size());
+  for (const Handle& h : fastest_) fastest.push_back(take(h));
 }
 
 StaResult StaTool::run() {

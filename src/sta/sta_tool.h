@@ -5,6 +5,8 @@
 // enumerate-then-sensitize loop).
 #pragma once
 
+#include <deque>
+
 #include "sta/delaycalc.h"
 #include "sta/pathfinder.h"
 
@@ -47,24 +49,62 @@ struct StaResult {
 /// the batch tool feeds it straight from the finder sink, and the
 /// serve-mode session replays warm per-source buffers through it.  The
 /// selection is a pure function of the delivery *sequence* — same paths in
-/// the same order give byte-identical retained sets (heap eviction and the
-/// final stable sorts break delay ties by delivery order) — which is what
-/// makes a warm server response provably equal to a cold batch run.
+/// the same order give byte-identical retained sets, delay ties included —
+/// which is what makes a warm server response provably equal to a cold
+/// batch run.
+///
+/// The heaps hold handles, not paths: a borrowed path is never copied
+/// unless finish() returns it, and an owned one lives in a slot pool that
+/// reuses the slots of evicted paths.  Either way the heaps see the same
+/// comparisons and the same push/pop sequence.
 class PathSelection {
  public:
   /// keep_worst < 0 keeps every path; keep_fastest 0 keeps none.
   PathSelection(long keep_worst, long keep_fastest);
 
-  void add(TimedPath timed);
-  /// Sorts and moves the retained sets out.  The selection is spent
-  /// afterwards.
+  /// Borrows `timed`, which must outlive finish().
+  void add(const TimedPath& timed);
+  /// Takes `timed` over.
+  void add(TimedPath&& timed);
+  /// Sorts and hands out the retained sets (copies of borrowed paths).
+  /// The selection is spent afterwards.
   void finish(std::vector<TimedPath>& paths, std::vector<TimedPath>& fastest);
 
  private:
+  /// A retained path: borrowed (slot < 0) or owned by slots_[slot].
+  struct Handle {
+    const TimedPath* path;
+    int slot;
+  };
+  struct Slot {
+    TimedPath path;
+    int refs = 0;  ///< heap entries holding the slot, plus add()'s own
+  };
+
+  /// The heap and sort orders: slower() makes the keep-worst heap a
+  /// min-heap on delay (front = first evicted) and sorts slowest first;
+  /// faster() makes the keep-fastest heap a max-heap and sorts fastest
+  /// first.
+  static bool slower(const Handle& a, const Handle& b) {
+    return a.path->delay > b.path->delay;
+  }
+  static bool faster(const Handle& a, const Handle& b) {
+    return a.path->delay < b.path->delay;
+  }
+
+  void insert(Handle h);
+  void retain(Handle h);
+  void release(Handle h);
+  /// The path of a retained handle, moved out of its slot by the last
+  /// handle that holds it.
+  TimedPath take(Handle h);
+
   long keep_worst_;
   long keep_fastest_;
-  std::vector<TimedPath> paths_;
-  std::vector<TimedPath> fastest_;
+  std::vector<Handle> paths_;
+  std::vector<Handle> fastest_;
+  std::deque<Slot> slots_;  ///< a deque: growing it moves no path
+  std::vector<int> free_slots_;
 };
 
 class StaTool {

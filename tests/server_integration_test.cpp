@@ -31,6 +31,7 @@
 #include "tech/technology.h"
 #include "test_charlib.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 namespace sasta {
 namespace {
@@ -542,6 +543,91 @@ TEST(ServerIntegration, RunReportEmbedsAsSingleLineJson) {
   std::string err;
   ASSERT_TRUE(JsonValue::parse(rr.dump(), &parsed, &err)) << err;
   EXPECT_EQ(parsed.get("schema").as_string(), "sasta-run-report-v1");
+}
+
+/// The run report embedded in an analyze/eco result, parsed.
+JsonValue run_report(const JsonValue& result) {
+  JsonValue parsed;
+  std::string err;
+  EXPECT_TRUE(
+      JsonValue::parse(result.get("run_report").dump(), &parsed, &err))
+      << err;
+  return parsed;
+}
+
+// A request's `threads` is capped at the hardware threads: the helper pool
+// grows to the largest worker count ever asked for and never shrinks, so an
+// uncapped count would keep that many threads alive for good.  c432 has 36
+// sources, so even an uncapped run starts at most 35 helpers here.
+TEST(ServerIntegration, RequestThreadsAreCappedAtTheHardware) {
+  ServerFixture fx(test_options(socket_path("threads")));
+  ASSERT_TRUE(fx.server().listening());
+  LineClient client(socket_path("threads"));
+  ASSERT_TRUE(client.connected());
+
+  JsonValue resp = client.call("load", [] {
+    JsonValue p = JsonValue::object();
+    p.set("netlist", JsonValue::string("c432"));
+    return p;
+  }());
+  ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+
+  // 2^32 + 1 wrapped to 1 when narrowed straight to int.
+  for (const double threads : {1e6, 4294967297.0}) {
+    JsonValue p = JsonValue::object();
+    p.set("threads", JsonValue::number(threads));
+    p.set("max_seconds", JsonValue::number(0.05));
+    p.set("force_cold", JsonValue::boolean(true));
+    resp = client.call("analyze", p);
+    ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+    const long workers = run_report(resp.get("result"))
+                             .get("metrics")
+                             .get("counters")
+                             .get("pathfinder.workers")
+                             .as_long(-1);
+    EXPECT_GE(workers, 1) << threads;
+    EXPECT_LE(workers, static_cast<long>(util::ThreadPool::hardware_threads()))
+        << threads;
+  }
+}
+
+// The run report splits a request's wall clock into its stages: five
+// session.*_seconds gauges that never add up to more than `seconds`.
+TEST(ServerIntegration, RunReportSplitsTheRequestByStage) {
+  ServerFixture fx(test_options(socket_path("stages")));
+  ASSERT_TRUE(fx.server().listening());
+  LineClient client(socket_path("stages"));
+  ASSERT_TRUE(client.connected());
+
+  JsonValue resp = client.call("load", [] {
+    JsonValue p = JsonValue::object();
+    p.set("netlist", JsonValue::string("c17"));
+    return p;
+  }());
+  ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+
+  JsonValue eco = JsonValue::object();
+  eco.set("op", JsonValue::string("swap_gate"));
+  eco.set("instance", JsonValue::string("g0"));
+  eco.set("cell", JsonValue::string("NOR2"));
+  for (const auto& [method, params] :
+       {std::pair{"analyze", JsonValue::object()},
+        std::pair{"analyze", JsonValue::object()}, std::pair{"eco", eco}}) {
+    resp = client.call(method, params);
+    ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+    const JsonValue report = run_report(resp.get("result"));
+    const JsonValue& gauges = report.get("metrics").get("gauges");
+    double sum = 0.0;
+    for (const char* stage : {"prepare", "search", "retime", "merge",
+                              "render"}) {
+      const std::string key = std::string("session.") + stage + "_seconds";
+      const JsonValue* g = gauges.find(key);
+      ASSERT_NE(g, nullptr) << method << " lacks " << key;
+      EXPECT_GE(g->as_double(), 0.0) << key;
+      sum += g->as_double();
+    }
+    EXPECT_LE(sum, resp.get("result").get("seconds").as_double()) << method;
+  }
 }
 
 TEST(ServerIntegration, ShutdownDrainsAndExitsZero) {

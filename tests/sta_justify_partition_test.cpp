@@ -4,35 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "netlist/iscas_gen.h"
-#include "netlist/levelize.h"
 #include "netlist/techmap.h"
 #include "sta/justify.h"
+#include "sta/search_context.h"
 #include "test_charlib.h"
 #include "util/rng.h"
 
 namespace sasta::sta {
 namespace {
-
-std::vector<std::vector<std::uint64_t>> build_supports(
-    const netlist::Netlist& nl) {
-  const int num_pis = static_cast<int>(nl.primary_inputs().size());
-  const std::size_t words = (num_pis + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> supports(
-      nl.num_nets(), std::vector<std::uint64_t>(words, 0));
-  for (int i = 0; i < num_pis; ++i) {
-    supports[nl.primary_inputs()[i]][i / 64] |= std::uint64_t{1} << (i % 64);
-  }
-  const auto lv = netlist::levelize(nl);
-  for (netlist::InstId ii : lv.topo_order) {
-    const netlist::Instance& inst = nl.instance(ii);
-    for (netlist::NetId in : inst.inputs) {
-      for (std::size_t w = 0; w < words; ++w) {
-        supports[inst.output][w] |= supports[in][w];
-      }
-    }
-  }
-  return supports;
-}
 
 TEST(JustifyPartition, SameVerdictWithAndWithoutPartitioning) {
   util::Rng rng(905);
@@ -48,7 +27,7 @@ TEST(JustifyPartition, SameVerdictWithAndWithoutPartitioning) {
         netlist::tech_map(netlist::generate_iscas_like(p),
                           testing::test_library())
             .netlist;
-    const auto supports = build_supports(nl);
+    const SearchContext ctx(nl);
 
     for (int trial = 0; trial < 40; ++trial) {
       // Random goal set over internal nets.
@@ -68,7 +47,7 @@ TEST(JustifyPartition, SameVerdictWithAndWithoutPartitioning) {
       AssignmentState s2(nl.num_nets());
       ImplicationEngine e2(nl, s2);
       Justifier j2(nl, s2, e2);
-      j2.set_supports(&supports);
+      j2.set_supports(ctx.supports(), ctx.support_words());
       const auto split = j2.justify_all(goals, kScenarioBoth);
 
       EXPECT_EQ(plain.alive, split.alive)
