@@ -62,7 +62,7 @@ struct PathFinder::Worker {
   /// single worker runs alone, where paths stream straight to the sink.
   std::vector<TruePath>* out = nullptr;
   /// Observability: this worker's private metrics shard (null = metrics
-  /// off) and its lane index for trace spans / per-worker metrics.
+  /// off) and its index, which names its trace lane and attribution rows.
   util::MetricsShard* metrics = nullptr;
   /// Flight-recorder lane `tid` (null = recorder off).  Written on the hot
   /// path with relaxed stores only; see attach_recorder().
@@ -412,9 +412,9 @@ void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
   }
 }
 
-void PathFinder::prepare_observability(
-    const std::vector<netlist::NetId>& sources, unsigned n_workers) {
-  total_sources_ = sources.size();
+void PathFinder::prepare_observability(std::size_t n_sources,
+                                       unsigned n_workers) {
+  total_sources_ = n_sources;
   sources_done_.store(0, std::memory_order_relaxed);
   trials_flushed_.store(0, std::memory_order_relaxed);
   next_heartbeat_ms_.store(
@@ -432,31 +432,11 @@ void PathFinder::prepare_observability(
       hb_lane_trials_[i].store(0, std::memory_order_relaxed);
     }
   }
-  source_metric_ids_.clear();
-  worker_metric_ids_.clear();
-  if (opt_.metrics == nullptr) return;
-  // Registration happens here, before any worker shard exists, so every id
-  // is in range for every shard of this run.  The registration sequence
-  // depends only on the source list (plus the worker count for the worker
-  // lanes), keeping the metrics JSON key set deterministic.
-  justify_depth_hist_ = opt_.metrics->histogram(
-      "pathfinder.justify_depth", {1, 2, 4, 8, 16, 32, 64, 128});
-  source_metric_ids_.reserve(sources.size());
-  for (netlist::NetId src : sources) {
-    const std::string base = "pathfinder.source." + nl_.net(src).name + ".";
-    SourceMetricIds& ids = source_metric_ids_.emplace_back();
-    for (std::size_t i = 0; i < kSearchCounters.size(); ++i) {
-      ids.counters[i] =
-          opt_.metrics->counter(base + std::string(kSearchCounters[i].name));
-    }
-    ids.seconds = opt_.metrics->gauge(base + "seconds");
-  }
-  worker_metric_ids_.reserve(n_workers);
-  for (unsigned t = 0; t < n_workers; ++t) {
-    const std::string base = "pathfinder.worker." + std::to_string(t);
-    worker_metric_ids_.push_back(
-        {opt_.metrics->counter(base + ".sources"),
-         opt_.metrics->gauge(base + ".busy_seconds")});
+  // Registration happens here, before any worker shard exists, so the id
+  // is in range for every shard of this run.
+  if (opt_.metrics != nullptr) {
+    justify_depth_hist_ = opt_.metrics->histogram(
+        "pathfinder.justify_depth", {1, 2, 4, 8, 16, 32, 64, 128});
   }
 }
 
@@ -537,16 +517,7 @@ void PathFinder::run_source(Worker& w, std::size_t source_index,
     static_cast<SearchCounters&>(row) = delta;
     row.source = source;
     row.seconds = seconds;
-  }
-  if (w.metrics != nullptr) {
-    const SourceMetricIds& ids = source_metric_ids_[source_index];
-    for (std::size_t i = 0; i < kSearchCounters.size(); ++i) {
-      w.metrics->add(ids.counters[i], delta.*kSearchCounters[i].field);
-    }
-    w.metrics->add(ids.seconds, seconds);
-    const WorkerMetricIds& wid = worker_metric_ids_[w.tid];
-    w.metrics->add(wid.sources, 1);
-    w.metrics->add(wid.busy_seconds, seconds);
+    row.worker = static_cast<unsigned>(w.tid);
   }
   if (w.rec != nullptr) {
     w.rec->record(util::FlightEventKind::kSourceDone, 0,
@@ -649,7 +620,7 @@ PathFinderStats PathFinder::run(
   const unsigned n_workers = std::max<unsigned>(
       1, std::min<std::size_t>(util::ThreadPool::resolve(opt_.num_threads),
                                sources.size()));
-  prepare_observability(sources, n_workers);
+  prepare_observability(sources.size(), n_workers);
   if (opt_.trace != nullptr) {
     // Label the lanes for Perfetto: 0 = orchestrator, 1..N = workers
     // (worker 0 runs on the calling thread, the rest on helper threads).
@@ -693,6 +664,7 @@ PathFinderStats PathFinder::run(
     *opt_.attribution = SearchAttribution{};
     opt_.attribution->sources.assign(sources.size(),
                                      SearchAttribution::SourceCost{});
+    opt_.attribution->workers = n_workers;
     gate_trials.assign(nl_.num_instances(), 0);
   }
 

@@ -43,9 +43,11 @@ namespace sasta::sta {
 
 /// Search-cost attribution filled in by PathFinder::run() when
 /// PathFinderOptions::attribution points here.  Answers "where did the
-/// effort go": which source PIs and which fanin-cone gates consumed the
-/// trials, backtracks and seconds that aggregate stats only report as
-/// totals.
+/// effort go": which source PIs, which worker lanes and which fanin-cone
+/// gates consumed the trials, backtracks and seconds that aggregate stats
+/// only report as totals.  The sources rows are the one per-source record
+/// of a run: the run report's per-worker table and --selfcheck derive from
+/// them.
 ///
 /// Like metrics/trace, attribution is observational: collecting it never
 /// changes enumerated paths.  Every cost figure is charged to exactly one
@@ -54,10 +56,11 @@ namespace sasta::sta {
 /// sum to vector_trials.
 struct SearchAttribution {
   /// One row per searched source PI, in source order: the source's share of
-  /// every search counter, plus its DFS wall clock.
+  /// every search counter, its DFS wall clock and the worker that ran it.
   struct SourceCost : SearchCounters {
     netlist::NetId source = netlist::kNoId;
     double seconds = 0.0;
+    unsigned worker = 0;  ///< worker index; trace lane = worker + 1
   };
   /// One row per instance with any attributed trial; a vector trial is
   /// charged to the gate being entered.
@@ -68,6 +71,7 @@ struct SearchAttribution {
 
   std::vector<SourceCost> sources;  ///< ordered by source-PI search order
   std::vector<GateCost> gates;      ///< ordered by instance id
+  unsigned workers = 0;  ///< the run's worker count (lanes with no source too)
 };
 
 // --- perfbench/probe.cpp compatibility --------------------------------
@@ -129,8 +133,9 @@ struct PathFinderOptions {
   // search decisions, so the enumerated paths are bit-identical with
   // instrumentation on or off at every thread count.
 
-  /// Per-source and per-worker counters/gauges plus the justification-depth
-  /// histogram are recorded here (each worker writes its own shard).
+  /// Run-level counters/gauges plus the justification-depth histogram are
+  /// recorded here (each worker writes its own shard).  Per-source and
+  /// per-worker figures live in `attribution`.
   util::MetricsRegistry* metrics = nullptr;
   /// Chrome trace-event spans: the preparation phase, the run, and one span
   /// per source-PI search on lane `tid = worker + 1`.
@@ -228,13 +233,12 @@ class PathFinder {
   /// transition and runs the source's DFS.
   void search_source(Worker& w, netlist::NetId source);
   /// search_source wrapped with the per-source observability: a trace span
-  /// on the worker's lane, per-source counter deltas (exact — sources never
-  /// span workers), and the progress-heartbeat bookkeeping.
+  /// on the worker's lane, the source's attribution row (exact — sources
+  /// never span workers), and the progress-heartbeat bookkeeping.
   void run_source(Worker& w, std::size_t source_index, netlist::NetId source);
-  /// Registers the per-source / per-worker metric ids and resets the
-  /// heartbeat state.  Called once per run(), before any shard exists.
-  void prepare_observability(const std::vector<netlist::NetId>& sources,
-                             unsigned n_workers);
+  /// Registers the justification-depth histogram and resets the heartbeat
+  /// state.  Called once per run(), before any shard exists.
+  void prepare_observability(std::size_t n_sources, unsigned n_workers);
   /// Emits an INFO progress line when the heartbeat interval elapsed (the
   /// interval is claimed by CAS, so exactly one worker logs per period).
   void maybe_heartbeat();
@@ -271,19 +275,8 @@ class PathFinder {
   std::atomic<bool> stop_{false};
   std::atomic<long> total_recorded_{0};
 
-  // Observability state (ids registered per run; all recording is gated on
-  // opt_.metrics / opt_.trace being non-null).
-  struct SourceMetricIds {
-    /// One counter per kSearchCounters row, in table order.
-    std::array<util::CounterId, kSearchCounters.size()> counters;
-    util::GaugeId seconds;
-  };
-  struct WorkerMetricIds {
-    util::CounterId sources;
-    util::GaugeId busy_seconds;
-  };
-  std::vector<SourceMetricIds> source_metric_ids_;
-  std::vector<WorkerMetricIds> worker_metric_ids_;
+  // Observability state (the histogram id is registered per run; all
+  // recording is gated on opt_.metrics / opt_.trace being non-null).
   util::HistogramId justify_depth_hist_;
   // Heartbeat bookkeeping: cheap relaxed atomics updated once per finished
   // source, read by whichever worker claims the next heartbeat slot.

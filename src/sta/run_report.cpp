@@ -36,48 +36,6 @@ std::vector<SearchAttribution::GateCost> top_gates(
   return gates;
 }
 
-/// Per-worker timeline row recovered from the metrics snapshot (lane =
-/// worker index + 1, matching the trace's tid lanes).
-struct WorkerRow {
-  int lane = 0;
-  long sources = 0;
-  double busy_seconds = 0.0;
-  long spans = 0;
-};
-
-std::vector<WorkerRow> worker_rows(const RunReportInputs& in) {
-  std::vector<WorkerRow> rows;
-  if (in.metrics == nullptr) return rows;
-  const std::string prefix = "pathfinder.worker.";
-  const std::string sources_suffix = ".sources";
-  for (const auto& [name, value] : in.metrics->counters) {
-    if (name.rfind(prefix, 0) != 0 || !name.ends_with(sources_suffix)) {
-      continue;
-    }
-    WorkerRow row;
-    row.lane =
-        std::stoi(name.substr(prefix.size(),
-                              name.size() - prefix.size() -
-                                  sources_suffix.size())) +
-        1;
-    row.sources = value;
-    const auto busy = in.metrics->gauges.find(
-        prefix + std::to_string(row.lane - 1) + ".busy_seconds");
-    if (busy != in.metrics->gauges.end()) row.busy_seconds = busy->second;
-    if (in.trace != nullptr) {
-      for (const util::TraceEvent& e : in.trace->events()) {
-        if (e.tid == row.lane) ++row.spans;
-      }
-    }
-    rows.push_back(row);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const WorkerRow& a, const WorkerRow& b) {
-              return a.lane < b.lane;
-            });
-  return rows;
-}
-
 }  // namespace
 
 void write_run_report(const RunReportInputs& in, std::ostream& os) {
@@ -142,26 +100,32 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
   }
   os << "]\n  },\n";
 
-  // --- per-worker phase timeline (metrics lanes + trace span counts).
+  // --- per-worker table, folded from the source rows: one row per lane
+  // (lane = worker index + 1, the trace's tid), starved lanes included.
   os << "  " << jkey("workers") << ": [";
-  {
-    const std::vector<WorkerRow> rows = worker_rows(in);
-    const char* sep = "";
+  if (in.attribution != nullptr) {
+    const SearchAttribution& a = *in.attribution;
+    std::vector<long> sources(a.workers, 0);
+    std::vector<double> busy(a.workers, 0.0);
+    for (const SearchAttribution::SourceCost& r : a.sources) {
+      if (r.source == netlist::kNoId) continue;  // source never searched
+      ++sources[r.worker];
+      busy[r.worker] += r.seconds;
+    }
     // busy_fraction divides by the run's wall clock: it answers "was this
     // worker starved" (a dominant source keeps one worker busy while the
     // others run out of sources).
-    const double wall =
-        in.stats != nullptr ? in.stats->cpu_seconds : 0.0;
-    for (const WorkerRow& r : rows) {
-      os << sep << "\n    {" << jkey("lane") << ": " << r.lane << ", "
-         << jkey("sources") << ": " << r.sources << ", "
-         << jkey("busy_seconds") << ": " << num(r.busy_seconds) << ", "
+    const double wall = in.stats != nullptr ? in.stats->cpu_seconds : 0.0;
+    const char* sep = "";
+    for (unsigned t = 0; t < a.workers; ++t) {
+      os << sep << "\n    {" << jkey("lane") << ": " << t + 1 << ", "
+         << jkey("sources") << ": " << sources[t] << ", "
+         << jkey("busy_seconds") << ": " << num(busy[t]) << ", "
          << jkey("busy_fraction") << ": "
-         << num(wall > 0.0 ? r.busy_seconds / wall : 0.0) << ", "
-         << jkey("spans") << ": " << r.spans << "}";
+         << num(wall > 0.0 ? busy[t] / wall : 0.0) << "}";
       sep = ",";
     }
-    if (!rows.empty()) os << "\n  ";
+    if (a.workers > 0) os << "\n  ";
   }
   os << "],\n";
 
@@ -280,26 +244,6 @@ std::vector<std::string> selfcheck_run(const RunReportInputs& in) {
     const std::string trials = name(&SearchCounters::vector_trials);
     eq("sum(gates." + trials + ") == " + trials, gate_trials,
        s.vector_trials);
-  }
-
-  // Per-source metrics vs aggregates (the metrics layer's own view).
-  if (in.metrics != nullptr) {
-    const std::string prefix = "pathfinder.source.";
-    SearchCounters sum;
-    bool any = false;
-    for (const auto& [key, value] : in.metrics->counters) {
-      if (key.rfind(prefix, 0) != 0) continue;
-      any = true;
-      for (const SearchCounter& c : kSearchCounters) {
-        if (key.ends_with("." + std::string(c.name))) sum.*c.field += value;
-      }
-    }
-    if (any) {
-      for (const SearchCounter& c : kSearchCounters) {
-        const std::string n(c.name);
-        eq("sum(metrics source " + n + ") == " + n, sum.*c.field, s.*c.field);
-      }
-    }
   }
 
   // Recorder activity slots vs aggregates: count_trial() and

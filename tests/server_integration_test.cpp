@@ -591,6 +591,47 @@ TEST(ServerIntegration, RequestThreadsAreCappedAtTheHardware) {
   }
 }
 
+// A cold analyze's run report carries one attribution row per searched
+// source and no per-source or per-worker metric: the rows are the one
+// per-source record, and the `workers` table is folded from them.
+TEST(ServerIntegration, ColdRunReportHasOneRowPerSourceAndNoCopies) {
+  ServerFixture fx(test_options(socket_path("rows")));
+  ASSERT_TRUE(fx.server().listening());
+  LineClient client(socket_path("rows"));
+  ASSERT_TRUE(client.connected());
+
+  JsonValue resp = client.call("load", [] {
+    JsonValue p = JsonValue::object();
+    p.set("netlist", JsonValue::string("c17"));
+    return p;
+  }());
+  ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+  resp = client.call("analyze", JsonValue::object());
+  ASSERT_TRUE(resp.find("result") != nullptr) << resp.dump();
+  const JsonValue& result = resp.get("result");
+  const JsonValue report = run_report(result);
+
+  const long searched = result.get("sources").get("searched").as_long();
+  EXPECT_EQ(searched, 5);
+  EXPECT_EQ(static_cast<long>(
+                report.get("attribution").get("sources").size()),
+            searched);
+  long lane_sources = 0;
+  const JsonValue& workers = report.get("workers");
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    lane_sources += workers.at(i).get("sources").as_long();
+  }
+  EXPECT_EQ(lane_sources, searched);
+
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    for (const auto& [key, value] :
+         report.get("metrics").get(section).members()) {
+      EXPECT_FALSE(key.starts_with("pathfinder.source.")) << key;
+      EXPECT_FALSE(key.starts_with("pathfinder.worker.")) << key;
+    }
+  }
+}
+
 // The run report splits a request's wall clock into its stages: five
 // session.*_seconds gauges that never add up to more than `seconds`.
 TEST(ServerIntegration, RunReportSplitsTheRequestByStage) {

@@ -28,7 +28,6 @@
 #include "test_charlib.h"
 #include "test_paths.h"
 #include "util/flight_recorder.h"
-#include "util/metrics.h"
 
 namespace sasta::sta {
 namespace {
@@ -289,53 +288,46 @@ TEST(FlightRecorderWatchdog, HealthyRunReportsNoStalls) {
 // --- Selfcheck reconciliation -----------------------------------------------
 
 // An honest run reconciles across every redundant view (attribution rows,
-// per-source metrics, recorder activity, internal invariants); corrupting
-// any aggregate is caught with a named diff line.
+// recorder activity, internal invariants); corrupting any aggregate is
+// caught with a named diff line.
 TEST(FlightRecorderSelfcheck, CleanRunReconcilesAndCorruptionIsCaught) {
   const netlist::Netlist nl = generated_circuit(3);
   util::FlightRecorder::Config cfg;
   cfg.lanes = 4;
   util::FlightRecorder rec(cfg);
-  util::MetricsRegistry metrics;
   SearchAttribution attribution;
 
   PathFinderOptions opt;
   opt.num_threads = 4;
   opt.flight = &rec;
-  opt.metrics = &metrics;
   opt.attribution = &attribution;
   PathFinder finder(nl, testing::test_charlib("90nm"), opt);
   const PathFinderStats stats = finder.run([](const TruePath&) {});
-  const util::MetricsSnapshot snap = metrics.snapshot();
 
   RunReportInputs in;
   in.circuit = nl.name();
   in.netlist = &nl;
   in.options = &opt;
   in.stats = &stats;
-  in.metrics = &snap;
   in.attribution = &attribution;
   in.flight = &rec;
 
   const std::vector<std::string> clean = selfcheck_run(in);
   EXPECT_TRUE(clean.empty()) << "unexpected violations, first: " << clean[0];
 
-  // Corrupt each aggregate counter in turn: the attribution and metrics
-  // sums must both disagree, each with a diff line naming the counter.
+  // Corrupt each aggregate counter in turn: the attribution row sum must
+  // disagree, with a diff line naming the counter.
   for (const SearchCounter& c : kSearchCounters) {
     PathFinderStats corrupted = stats;
     corrupted.*c.field += 1;
     in.stats = &corrupted;
     const std::vector<std::string> caught = selfcheck_run(in);
-    const std::string name(c.name);
-    for (const std::string& view : {"sum(sources." + name + ")",
-                                    "sum(metrics source " + name + ")"}) {
-      bool named = false;
-      for (const std::string& v : caught) {
-        if (v.rfind(view, 0) == 0) named = true;
-      }
-      EXPECT_TRUE(named) << view << " missed the corrupted " << name;
+    const std::string view = "sum(sources." + std::string(c.name) + ")";
+    bool named = false;
+    for (const std::string& v : caught) {
+      if (v.rfind(view, 0) == 0) named = true;
     }
+    EXPECT_TRUE(named) << view << " missed the corrupted " << c.name;
   }
 }
 

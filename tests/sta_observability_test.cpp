@@ -1,9 +1,9 @@
-// End-to-end guarantees of the observability layer: per-source metric
-// totals reconcile exactly with the aggregate PathFinderStats, the
-// enumerated paths are bit-identical with instrumentation on or off at
+// End-to-end guarantees of the observability layer: the per-source
+// attribution rows reconcile exactly with the aggregate PathFinderStats,
+// the enumerated paths are bit-identical with instrumentation on or off at
 // every thread count, the emitted trace is valid Chrome trace-event JSON
-// whose worker lanes match the per-worker metrics, and the --progress
-// heartbeat emits whole lines.
+// whose worker lanes match the rows' workers, and the --progress heartbeat
+// emits whole lines.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -60,58 +60,51 @@ std::string fingerprint(const netlist::Netlist& nl, const TimedPath& tp) {
   return s;
 }
 
-/// Sum of every "pathfinder.source.<pi>.<field>" counter in the snapshot.
-long per_source_total(const util::MetricsSnapshot& snap,
-                      const std::string& field) {
-  long total = 0;
-  for (const auto& [name, value] : snap.counters) {
-    if (name.rfind("pathfinder.source.", 0) == 0 &&
-        name.size() > field.size() &&
-        name.compare(name.size() - field.size(), field.size(), field) == 0) {
-      total += value;
-    }
+/// Every search counter summed over the searched attribution rows.
+SearchCounters row_totals(const SearchAttribution& attribution) {
+  SearchCounters sum;
+  for (const SearchAttribution::SourceCost& r : attribution.sources) {
+    if (r.source != netlist::kNoId) sum += r;
   }
-  return total;
+  return sum;
 }
 
 class PerSourceReconciliation : public ::testing::TestWithParam<int> {};
 
-// The per-source counters, summed over all sources, must equal the
-// aggregate PathFinderStats bit for bit — at every thread count (sources
-// never span workers, so the per-source deltas are exact).
+// The per-source rows, summed over all sources, must equal the aggregate
+// PathFinderStats bit for bit — at every thread count (sources never span
+// workers, so the per-source deltas are exact).
 TEST_P(PerSourceReconciliation, SumsEqualAggregateStats) {
   const int threads = GetParam();
   const netlist::Netlist circuits[] = {c17(), generated_circuit(17)};
   for (const netlist::Netlist& nl : circuits) {
     util::MetricsRegistry metrics;
+    SearchAttribution attribution;
     PathFinderOptions opt;
     opt.num_threads = threads;
     opt.metrics = &metrics;
+    opt.attribution = &attribution;
     PathFinder finder(nl, testing::test_charlib("90nm"), opt);
     const PathFinderStats stats = finder.run([](const TruePath&) {});
     ASSERT_GT(stats.paths_recorded, 0);
 
-    const util::MetricsSnapshot snap = metrics.snapshot();
-    EXPECT_EQ(per_source_total(snap, ".vector_trials"), stats.vector_trials)
+    EXPECT_EQ(row_totals(attribution), SearchCounters(stats))
         << nl.name() << " threads=" << threads;
-    EXPECT_EQ(per_source_total(snap, ".backtracks"), stats.backtracks);
-    EXPECT_EQ(per_source_total(snap, ".paths_recorded"),
-              stats.paths_recorded);
-    EXPECT_EQ(per_source_total(snap, ".justify_limited"),
-              stats.justify_limited);
+    const util::MetricsSnapshot snap = metrics.snapshot();
     // The justification-depth histogram sees exactly one observation per
     // recorded path.
     EXPECT_EQ(snap.histograms.at("pathfinder.justify_depth").observations,
               stats.paths_recorded);
-    // Worker lanes partition the sources.
-    long worker_sources = 0;
-    for (const auto& [name, value] : snap.counters) {
-      if (name.rfind("pathfinder.worker.", 0) == 0 &&
-          name.find(".sources") != std::string::npos) {
-        worker_sources += value;
-      }
+    // Every source is searched once, by one of the run's workers.
+    long searched = 0;
+    for (const SearchAttribution::SourceCost& r : attribution.sources) {
+      if (r.source == netlist::kNoId) continue;
+      ++searched;
+      EXPECT_LT(r.worker, attribution.workers);
     }
-    EXPECT_EQ(worker_sources, snap.counters.at("pathfinder.sources_total"));
+    EXPECT_EQ(searched, snap.counters.at("pathfinder.sources_total"));
+    EXPECT_EQ(static_cast<long>(attribution.workers),
+              snap.counters.at("pathfinder.workers"));
   }
 }
 
@@ -148,27 +141,26 @@ TEST(Observability, InstrumentationDoesNotPerturbResults) {
 }
 
 // The emitted trace parses as JSON, carries one span per searched source,
-// and its worker-lane tid set matches exactly the workers whose metrics
-// show sources processed (lane = worker index + 1).
-TEST(Observability, TraceLanesMatchWorkerMetrics) {
+// and its worker-lane tid set matches exactly the workers the attribution
+// rows name (lane = worker index + 1).
+TEST(Observability, TraceLanesMatchAttributionWorkers) {
   const netlist::Netlist nl = generated_circuit(31);
   util::MetricsRegistry metrics;
   util::TraceCollector trace;
+  SearchAttribution attribution;
   PathFinderOptions opt;
   opt.num_threads = 4;
   opt.metrics = &metrics;
   opt.trace = &trace;
+  opt.attribution = &attribution;
   PathFinder finder(nl, testing::test_charlib("90nm"), opt);
   finder.run([](const TruePath&) {});
 
   const util::MetricsSnapshot snap = metrics.snapshot();
-  std::set<int> metric_lanes;
-  for (const auto& [name, value] : snap.counters) {
-    if (name.rfind("pathfinder.worker.", 0) == 0 &&
-        name.find(".sources") != std::string::npos && value > 0) {
-      const int worker = std::stoi(name.substr(std::string(
-          "pathfinder.worker.").size()));
-      metric_lanes.insert(worker + 1);
+  std::set<int> row_lanes;
+  for (const SearchAttribution::SourceCost& r : attribution.sources) {
+    if (r.source != netlist::kNoId) {
+      row_lanes.insert(static_cast<int>(r.worker) + 1);
     }
   }
 
@@ -181,7 +173,7 @@ TEST(Observability, TraceLanesMatchWorkerMetrics) {
       EXPECT_GE(e.dur_us, 0.0);
     }
   }
-  EXPECT_EQ(trace_lanes, metric_lanes);
+  EXPECT_EQ(trace_lanes, row_lanes);
   EXPECT_EQ(source_spans, snap.counters.at("pathfinder.sources_total"));
 
   // Phase spans from the orchestrating thread sit on lane 0.
@@ -236,10 +228,10 @@ TEST(Observability, HeartbeatEmitsWholeProgressLines) {
   EXPECT_GT(progress_lines, 0);
 }
 
-// The heartbeat must coexist with the metrics sink (the CLI arms both for
-// --progress --metrics-json): progress lines stay whole while the metrics
-// snapshot still reconciles exactly with the aggregate stats, and arming
-// the attribution table alongside both changes nothing.
+// The heartbeat must coexist with the metrics sink and the attribution
+// table (the CLI arms all three for --progress --report-json): progress
+// lines stay whole while the rows still reconcile exactly with the
+// aggregate stats and the histogram sees every recorded path.
 TEST(Observability, HeartbeatCoexistsWithMetricsSink) {
   const netlist::Netlist nl = generated_circuit(41);
   std::ostringstream captured;
@@ -271,17 +263,11 @@ TEST(Observability, HeartbeatCoexistsWithMetricsSink) {
     }
   }
 
-  // The metrics sink still reconciles exactly.
+  // The rows still reconcile exactly, and so does the metrics sink.
+  EXPECT_EQ(row_totals(attribution), SearchCounters(stats));
   const util::MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(per_source_total(snap, ".vector_trials"), stats.vector_trials);
-  EXPECT_EQ(per_source_total(snap, ".paths_recorded"), stats.paths_recorded);
-
-  // And so does the attribution table armed alongside.
-  long src_trials = 0;
-  for (const SearchAttribution::SourceCost& r : attribution.sources) {
-    if (r.source != netlist::kNoId) src_trials += r.vector_trials;
-  }
-  EXPECT_EQ(src_trials, stats.vector_trials);
+  EXPECT_EQ(snap.histograms.at("pathfinder.justify_depth").observations,
+            stats.paths_recorded);
 }
 
 }  // namespace

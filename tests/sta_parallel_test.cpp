@@ -212,9 +212,11 @@ TEST(ParallelPathFinder, WorkersCappedAtSourceCount) {
   ASSERT_FALSE(base.fingerprints.empty());
 
   util::MetricsRegistry metrics;
+  SearchAttribution attribution;
   PathFinderOptions opt;
   opt.num_threads = 8;
   opt.metrics = &metrics;
+  opt.attribution = &attribution;
   PathFinder finder(nl, testing::test_charlib("90nm"), opt);
   std::vector<TruePath> paths;
   finder.run([&](const TruePath& p) { paths.push_back(p); });
@@ -224,7 +226,10 @@ TEST(ParallelPathFinder, WorkersCappedAtSourceCount) {
   const auto workers = snap.counters.find("pathfinder.workers");
   ASSERT_NE(workers, snap.counters.end());
   EXPECT_LE(workers->second, 4);
-  EXPECT_EQ(snap.gauges.count("pathfinder.worker.4.busy_seconds"), 0u);
+  EXPECT_LE(attribution.workers, 4u);
+  for (const SearchAttribution::SourceCost& r : attribution.sources) {
+    EXPECT_LT(r.worker, 4u) << "source " << r.source;
+  }
 }
 
 /// Top-N (course_key, vector, delay) set of an StaTool run.

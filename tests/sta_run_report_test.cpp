@@ -1,9 +1,10 @@
 // --report-json / --profile integration tests: the structured run report
 // validates against its documented schema ("sasta-run-report-v1" in
 // docs/METRICS.md), its attribution tables reconcile exactly with the
-// aggregate PathFinderStats, and rendering is deterministic byte-for-byte
-// for fixed inputs.  Sections backed by absent sinks must render as empty
-// objects/arrays so the key set is schema-stable.
+// aggregate PathFinderStats, its per-worker table folds the per-source
+// rows, and rendering is deterministic byte-for-byte for fixed inputs.
+// Sections backed by absent sinks must render as empty objects/arrays so
+// the key set is schema-stable.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "test_charlib.h"
 #include "test_json.h"
 #include "test_paths.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -40,7 +42,6 @@ struct FullRun {
   PathFinderStats stats;
   SearchAttribution attribution;
   util::MetricsSnapshot metrics;
-  std::vector<util::TraceEvent> trace_events;
 };
 
 FullRun run_with_all_sinks(const netlist::Netlist& nl, int threads) {
@@ -55,17 +56,11 @@ FullRun run_with_all_sinks(const netlist::Netlist& nl, int threads) {
   PathFinder finder(nl, testing::test_charlib("90nm"), opt);
   out.stats = finder.run([](const TruePath&) {});
   out.metrics = registry.snapshot();
-  out.trace_events = trace.events();
   return out;
 }
 
 std::string render(const netlist::Netlist& nl, const PathFinderOptions* opt,
                    const FullRun& run) {
-  util::TraceCollector trace;
-  for (const util::TraceEvent& e : run.trace_events) {
-    e.ph == 'X' ? trace.add_complete_event(e.name, e.tid, e.ts_us, e.dur_us)
-                : trace.add_instant_event(e.name, e.tid, e.ts_us);
-  }
   RunReportInputs in;
   in.circuit = nl.name();
   in.netlist = &nl;
@@ -73,7 +68,6 @@ std::string render(const netlist::Netlist& nl, const PathFinderOptions* opt,
   in.stats = &run.stats;
   in.metrics = &run.metrics;
   in.attribution = &run.attribution;
-  in.trace = &trace;
   std::ostringstream os;
   write_run_report(in, os);
   return os.str();
@@ -126,24 +120,49 @@ TEST(RunReport, AttributionReconcilesWithAggregateStats) {
     EXPECT_EQ(sources_sum, SearchCounters(run.stats))
         << threads << " threads";
 
-    // The per-source metrics carry every table counter and sum the same.
-    SearchCounters metrics_sum;
-    for (const SearchCounter& c : kSearchCounters) {
-      const std::string suffix = "." + std::string(c.name);
-      for (const auto& [key, value] : run.metrics.counters) {
-        if (key.starts_with("pathfinder.source.") && key.ends_with(suffix)) {
-          metrics_sum.*c.field += value;
-        }
-      }
-    }
-    EXPECT_EQ(metrics_sum, SearchCounters(run.stats))
-        << threads << " threads";
-
     long gate_trials = 0;
     for (const SearchAttribution::GateCost& g : run.attribution.gates) {
       gate_trials += g.vector_trials;
     }
     EXPECT_EQ(gate_trials, run.stats.vector_trials);
+  }
+}
+
+// The `workers` table is folded from the per-source rows: one row per lane
+// from 1 to pathfinder.workers (lanes that got no source included), whose
+// sources sum to the searched rows and whose busy_seconds is the sum of
+// that lane's row seconds.
+TEST(RunReport, WorkersTableFoldsTheSourceRows) {
+  const netlist::Netlist nl = generated_circuit(11);
+  for (const int threads : {1, 4}) {
+    const FullRun run = run_with_all_sinks(nl, threads);
+    PathFinderOptions opt;
+    util::JsonValue report;
+    std::string err;
+    ASSERT_TRUE(util::JsonValue::parse(render(nl, &opt, run), &report, &err))
+        << err;
+    const long n_workers = run.metrics.counters.at("pathfinder.workers");
+    const util::JsonValue& workers = report.get("workers");
+    ASSERT_EQ(static_cast<long>(workers.size()), n_workers)
+        << threads << " threads";
+
+    long searched = 0;
+    std::vector<double> busy(n_workers, 0.0);
+    for (const SearchAttribution::SourceCost& r : run.attribution.sources) {
+      if (r.source == netlist::kNoId) continue;
+      ++searched;
+      ASSERT_LT(static_cast<long>(r.worker), n_workers);
+      busy[r.worker] += r.seconds;
+    }
+    long lane_sources = 0;
+    for (long t = 0; t < n_workers; ++t) {
+      const util::JsonValue& row = workers.at(static_cast<std::size_t>(t));
+      EXPECT_EQ(row.get("lane").as_long(), t + 1);
+      lane_sources += row.get("sources").as_long();
+      EXPECT_EQ(row.get("busy_seconds").as_double(), busy[t])
+          << "lane " << t + 1;
+    }
+    EXPECT_EQ(lane_sources, searched) << threads << " threads";
   }
 }
 

@@ -30,13 +30,14 @@
 //   --erc                max-slew / max-cap electrical rule checks
 //   --write-verilog F    dump the mapped netlist to F
 //   --write-sdf F        SDF annotation (min:typ:max = vector spread)
-//   --metrics-json F     write run metrics (per-source/per-worker counters,
-//                        histograms, phase timings) as JSON to F
+//   --metrics-json F     write run metrics (run counters, histograms,
+//                        phase timings) as JSON to F
 //   --trace-out F        write a Chrome trace-event / Perfetto JSON timeline
 //                        (load in chrome://tracing or ui.perfetto.dev)
 //   --report-json F      write the structured run report (schema
 //                        sasta-run-report-v1: metrics + search-cost
-//                        attribution tables + per-worker timelines) to F
+//                        attribution tables: per-source rows, per-worker
+//                        table, hot gates) to F
 //   --flight-recorder M  on | off  (default on): per-worker in-memory
 //                        flight recorder (lock-free event rings + activity
 //                        slots).  Strictly result-neutral: reported paths
@@ -47,7 +48,10 @@
 //                        / SIGBUS), on demand via SIGUSR1, and by the
 //                        stall watchdog; read it back with sasta_inspect.
 //   --watchdog-seconds S stall watchdog: warn (and dump) when no global
-//                        progress is made for S seconds (default off)
+//                        progress is made for S seconds (default off).
+//                        --flight-dump and --watchdog-seconds need the
+//                        recorder: with --flight-recorder off they are
+//                        usage errors.
 //   --serve              run as a persistent timing daemon instead of one
 //                        batch analysis: bind --socket, keep characterized
 //                        libraries / netlists / per-source results warm
@@ -61,11 +65,15 @@
 //   --socket PATH        AF_UNIX socket path for --serve (required with
 //                        --serve; stale paths are replaced, the path is
 //                        unlinked on clean shutdown).  --metrics-json in
-//                        serve mode writes the server counters on exit.
+//                        serve mode writes the server counters on exit;
+//                        the batch-only outputs (--report-json,
+//                        --trace-out, --selfcheck, --profile, --progress,
+//                        --watchdog-seconds, --flight-dump) are usage
+//                        errors with --serve.
 //   --selfcheck          end-of-run counter reconciliation: cross-check
-//                        attribution rows, per-source metrics and recorder
-//                        activity slots against the aggregate stats; any
-//                        mismatch prints a diff and exits 3
+//                        the per-source and per-gate attribution rows and
+//                        the recorder activity slots against the aggregate
+//                        stats; any mismatch prints a diff and exits 3
 //   --profile            print the human-readable search-cost profile (top
 //                        sources by seconds, hot gates by vector trials)
 //   --progress [every 2s] heartbeat: sources done/total, trials/sec, elapsed
@@ -77,6 +85,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <utility>
 
 #include "baseline/baseline_tool.h"
 #include "cell/library_builder.h"
@@ -135,7 +144,7 @@ struct Options {
   std::string report_json;    ///< structured run-report JSON output file
   bool flight_recorder = true;  ///< per-worker event rings + activity slots
   std::string flight_dump;      ///< post-mortem dump path ("" = temp dir)
-  double watchdog_seconds = -1.0;  ///< stall watchdog interval (<=0 = off)
+  double watchdog_seconds = -1.0;  ///< stall watchdog (-1 unset, 0 off)
   bool serve = false;         ///< persistent daemon mode (docs/SERVER.md)
   std::string socket_path;    ///< AF_UNIX socket path for --serve
   bool selfcheck = false;     ///< end-of-run counter reconciliation
@@ -284,10 +293,36 @@ Options parse_args(int argc, char** argv) {
       o.netlist = a;
     }
   }
+  if (!o.flight_recorder) {
+    // Both flags only act through the recorder.
+    if (o.watchdog_seconds >= 0 || !o.flight_dump.empty()) {
+      std::cerr << (o.watchdog_seconds >= 0 ? "--watchdog-seconds"
+                                           : "--flight-dump")
+                << " needs the flight recorder (drop --flight-recorder off)\n";
+      usage(argv[0]);
+    }
+  }
   if (o.serve) {
     if (o.socket_path.empty()) {
       std::cerr << "--serve requires --socket PATH\n";
       usage(argv[0]);
+    }
+    // Outputs of the batch run, which the daemon never performs (each
+    // analyze response embeds its own run report).
+    const std::pair<bool, const char*> batch_only[] = {
+        {!o.report_json.empty(), "--report-json"},
+        {!o.trace_out.empty(), "--trace-out"},
+        {o.selfcheck, "--selfcheck"},
+        {o.profile, "--profile"},
+        {o.progress, "--progress"},
+        {o.watchdog_seconds >= 0, "--watchdog-seconds"},
+        {!o.flight_dump.empty(), "--flight-dump"},
+    };
+    for (const auto& [given, flag] : batch_only) {
+      if (given) {
+        std::cerr << flag << " applies to a batch run, not to --serve\n";
+        usage(argv[0]);
+      }
     }
     if (!o.netlist.empty()) {
       std::cerr << "--serve takes no netlist operand (designs are loaded "
@@ -353,20 +388,17 @@ int main(int argc, char** argv) {
   }
 
   // Observability sinks: enabled by their output flags, shared by every
-  // pipeline phase below.  --report-json merges both into one artifact, so
-  // it arms them even without --metrics-json / --trace-out.  --progress
-  // only needs the heartbeat, which runs without any sink.  --selfcheck
-  // arms metrics (and attribution, below) so the reconciliation pass has
-  // redundant views to cross-check even when no JSON output was asked for.
+  // pipeline phase below.  --report-json embeds the metrics, so it arms
+  // them even without --metrics-json.  --progress only needs the
+  // heartbeat, which runs without any sink.  --report-json, --profile and
+  // --selfcheck read the attribution rows (armed below).
   util::MetricsRegistry metrics_registry;
   util::TraceCollector trace_collector;
   util::MetricsRegistry* metrics =
-      opt.metrics_json.empty() && opt.report_json.empty() && !opt.selfcheck
-          ? nullptr
-          : &metrics_registry;
+      opt.metrics_json.empty() && opt.report_json.empty() ? nullptr
+                                                          : &metrics_registry;
   util::TraceCollector* trace =
-      opt.trace_out.empty() && opt.report_json.empty() ? nullptr
-                                                       : &trace_collector;
+      opt.trace_out.empty() ? nullptr : &trace_collector;
 
   try {
     const cell::Library lib = cell::build_standard_library();
@@ -534,8 +566,15 @@ int main(int argc, char** argv) {
     }
 
     if (opt.corners) {
-      const auto mc = sta::analyze_corners(nl, cl, tech,
-                                           sta::default_corners(tech), sopt);
+      // The corner pass searches again; keep it out of the sinks, which
+      // describe the run above and are reconciled against its stats.
+      sta::StaToolOptions corner_opt = sopt;
+      corner_opt.finder.metrics = nullptr;
+      corner_opt.finder.trace = nullptr;
+      corner_opt.finder.attribution = nullptr;
+      corner_opt.finder.flight = nullptr;
+      const auto mc = sta::analyze_corners(
+          nl, cl, tech, sta::default_corners(tech), corner_opt);
       std::cout << "\ncorner    temp(C)  vdd(V)   critical(ps)\n";
       for (const auto& c : mc.corners) {
         std::cout << (c.corner.name + "        ").substr(0, 8) << "  "
@@ -589,15 +628,15 @@ int main(int argc, char** argv) {
     if (!opt.report_json.empty() || opt.selfcheck) {
       // Snapshot last so the report's metrics section carries every phase
       // gauge written above.
-      const util::MetricsSnapshot snap = metrics->snapshot();
+      const util::MetricsSnapshot snap =
+          metrics != nullptr ? metrics->snapshot() : util::MetricsSnapshot{};
       sta::RunReportInputs report_in;
       report_in.circuit = nl.name();
       report_in.netlist = &nl;
       report_in.options = &sopt.finder;
       report_in.stats = &res.stats;
-      report_in.metrics = &snap;
+      report_in.metrics = metrics != nullptr ? &snap : nullptr;
       report_in.attribution = sopt.finder.attribution;
-      report_in.trace = trace;
       report_in.flight = flight;
       if (!opt.report_json.empty()) {
         std::ofstream os(opt.report_json);
