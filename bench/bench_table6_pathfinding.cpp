@@ -118,15 +118,12 @@ int run() {
         {name, dev.stats.cpu_seconds, dev.stats.vector_trials, 1});
     if (metrics != nullptr) {
       const std::string base = "table6." + name + ".";
-      std::vector<std::pair<util::CounterId, long>> counters;
       for (const sta::SearchCounter& c : sta::kSearchCounters) {
-        counters.emplace_back(metrics->counter(base + std::string(c.name)),
-                              dev.stats.*c.field);
+        metrics->add(metrics->counter(base + std::string(c.name)),
+                     dev.stats.*c.field);
       }
-      const util::GaugeId cpu = metrics->gauge(base + "cpu_seconds");
-      util::MetricsShard& shard = metrics->create_shard();
-      for (const auto& [id, value] : counters) shard.add(id, value);
-      shard.set(cpu, dev.stats.cpu_seconds);
+      metrics->set(metrics->gauge(base + "cpu_seconds"),
+                   dev.stats.cpu_seconds);
     }
 
     baseline::BaselineOptions bopt;
@@ -241,9 +238,9 @@ int run() {
       const double secs = watch.elapsed_seconds();
       bench_json.add({prof.name, secs, stats.vector_trials, threads});
       if (metrics != nullptr) {
-        const util::GaugeId scale = metrics->gauge(
-            "table6.scaling.threads" + std::to_string(threads) + ".seconds");
-        metrics->create_shard().set(scale, secs);
+        metrics->set(metrics->gauge("table6.scaling.threads" +
+                                    std::to_string(threads) + ".seconds"),
+                     secs);
       }
       if (threads == 1) {
         t1 = secs;
@@ -340,11 +337,8 @@ int run() {
           {name + "/recorder_on", on_s, on_stats.vector_trials, 8});
       if (metrics != nullptr) {
         const std::string base = "table6." + name + ".recorder";
-        const util::GaugeId off_g = metrics->gauge(base + ".off_seconds");
-        const util::GaugeId on_g = metrics->gauge(base + ".on_seconds");
-        util::MetricsShard& shard = metrics->create_shard();
-        shard.set(off_g, off_s);
-        shard.set(on_g, on_s);
+        metrics->set(metrics->gauge(base + ".off_seconds"), off_s);
+        metrics->set(metrics->gauge(base + ".on_seconds"), on_s);
       }
       print_row({name, "off", util::format_fixed(off_s, 3),
                  std::to_string(off_stats.paths_recorded), "-", "-"},

@@ -15,6 +15,7 @@
 #include "sta/corners.h"
 #include "sta/report.h"
 #include "sta/sdf_writer.h"
+#include "sta/sta_tool.h"
 #include "sta/variation.h"
 #include "util/strings.h"
 
@@ -54,11 +55,12 @@ int main(int argc, char** argv) {
       sta::build_timing_report(nl, res, required_ps * 1e-12);
   std::cout << sta::format_timing_report(nl, rep) << "\n";
 
-  // 3. Multi-corner summary (fast characterization has flat T/V models;
-  //    run the library characterization at the full profile for real
-  //    corner spread - see pvt_sweep).
-  const auto mc =
-      sta::analyze_corners(nl, cl, tech, sta::default_corners(tech), opt);
+  // 3. Multi-corner summary: the retained paths re-timed at each corner,
+  //    no second search (fast characterization has flat T/V models; run
+  //    the library characterization at the full profile for real corner
+  //    spread - see pvt_sweep).
+  const auto mc = sta::analyze_corners(nl, cl, tech, sta::default_corners(tech),
+                                       res.paths, opt.delay);
   for (const auto& c : mc.corners) {
     std::cout << "corner " << c.corner.name << ": critical "
               << util::format_fixed(c.critical_delay * 1e12, 1) << " ps\n";

@@ -126,8 +126,6 @@ Server::Conn::~Conn() {
 
 Server::Server(ServerOptions options)
     : opt_(std::move(options)), library_(cell::build_standard_library()) {
-  // Register every server metric before creating the writer shard (see the
-  // registry's contract: shards only carry slots known at creation).
   m_requests_ = metrics_.counter("server.requests");
   m_errors_ = metrics_.counter("server.errors");
   m_sessions_ = metrics_.counter("server.sessions");
@@ -137,7 +135,6 @@ Server::Server(ServerOptions options)
   m_sources_reused_ = metrics_.counter("server.sources_reused");
   m_request_seconds_ = metrics_.histogram(
       "server.request_seconds", {0.001, 0.01, 0.1, 1.0, 10.0, 60.0});
-  shard_ = &metrics_.create_shard();
 }
 
 Server::~Server() {
@@ -306,6 +303,8 @@ int Server::run() {
   if (!opt_.metrics_json_path.empty()) {
     std::ofstream os(opt_.metrics_json_path);
     metrics_.write_json(os);
+    os.close();
+    if (!os) SASTA_LOG(kError) << "cannot write " << opt_.metrics_json_path;
   }
   ::close(listen_fd_);
   listen_fd_ = -1;
@@ -372,7 +371,7 @@ util::JsonValue Server::handle_load(const util::JsonValue& p) {
   const bool charlib_reused = it != charlibs_.end();
   if (charlib_reused) {
     cl = it->second;
-    shard_->add(m_cache_reuse_);
+    metrics_.add(m_cache_reuse_);
   } else {
     charlib::CharacterizeOptions copt;
     copt.profile = full ? charlib::CharacterizeOptions::Profile::kFull
@@ -391,7 +390,7 @@ util::JsonValue Server::handle_load(const util::JsonValue& p) {
                                            opt_.session_defaults);
   const Session& ref = *session;
   sessions_.emplace(sid, std::move(session));
-  shard_->add(m_sessions_);
+  metrics_.add(m_sessions_);
 
   const netlist::Netlist& nl = ref.netlist();
   util::JsonValue r = util::JsonValue::object();
@@ -415,9 +414,9 @@ util::JsonValue Server::handle_load(const util::JsonValue& p) {
 
 void Server::dispatch(const Pending& item, bool draining) {
   util::Stopwatch watch;
-  shard_->add(m_requests_);
+  metrics_.add(m_requests_);
   if (item.overlong) {
-    shard_->add(m_errors_);
+    metrics_.add(m_errors_);
     write_line(*item.conn,
                make_error(-1, false, kErrParse,
                           "request line exceeds " +
@@ -435,14 +434,14 @@ void Server::dispatch(const Pending& item, bool draining) {
       parse_request(item.line, &code, &message, &id, &has_id);
   util::JsonValue response;
   if (!parsed) {
-    shard_->add(m_errors_);
+    metrics_.add(m_errors_);
     write_line(*item.conn, make_error(id, has_id, code, message).dump());
-    shard_->observe(m_request_seconds_, watch.elapsed_seconds());
+    metrics_.observe(m_request_seconds_, watch.elapsed_seconds());
     return;
   }
   const RpcRequest& req = *parsed;
   if (draining) {
-    shard_->add(m_errors_);
+    metrics_.add(m_errors_);
     response = make_error(req.id, req.has_id, kErrShutdown,
                           "server is draining; retry against a new server");
     write_line(*item.conn, response.dump());
@@ -475,13 +474,13 @@ void Server::dispatch(const Pending& item, bool draining) {
       Session& session = find_session(p);
       const Session::AnalyzeOutcome out =
           session.analyze(parse_analyze_params(p));
-      if (out.sources_reused > 0) shard_->add(m_cache_reuse_);
-      shard_->add(m_sources_reused_, static_cast<long>(out.sources_reused));
+      if (out.sources_reused > 0) metrics_.add(m_cache_reuse_);
+      metrics_.add(m_sources_reused_, static_cast<long>(out.sources_reused));
       response = make_response(req.id, req.has_id,
                                analyze_json(session.netlist(), out));
     } else if (req.method == kMethodEco) {
       Session& session = find_session(p);
-      shard_->add(m_eco_requests_);
+      metrics_.add(m_eco_requests_);
       Session::EcoRequest eco;
       eco.op = p.get("op").as_string();
       eco.instance = p.get("instance").as_string();
@@ -497,11 +496,11 @@ void Server::dispatch(const Pending& item, bool draining) {
       }
       eco.analyze = parse_analyze_params(p);
       const Session::EcoOutcome out = session.apply_eco(eco);
-      shard_->add(m_cones_invalidated_,
-                  static_cast<long>(out.dirty_sources));
-      if (out.analyze.sources_reused > 0) shard_->add(m_cache_reuse_);
-      shard_->add(m_sources_reused_,
-                  static_cast<long>(out.analyze.sources_reused));
+      metrics_.add(m_cones_invalidated_,
+                   static_cast<long>(out.dirty_sources));
+      if (out.analyze.sources_reused > 0) metrics_.add(m_cache_reuse_);
+      metrics_.add(m_sources_reused_,
+                   static_cast<long>(out.analyze.sources_reused));
       util::JsonValue r = analyze_json(session.netlist(), out.analyze);
       util::JsonValue eco_r = util::JsonValue::object();
       eco_r.set("op", util::JsonValue::string(eco.op));
@@ -526,19 +525,19 @@ void Server::dispatch(const Pending& item, bool draining) {
       response = make_response(req.id, req.has_id, std::move(r));
       request_stop();
     } else {
-      shard_->add(m_errors_);
+      metrics_.add(m_errors_);
       response = make_error(req.id, req.has_id, kErrNoMethod,
                             "unknown method '" + req.method + "'");
     }
   } catch (const SessionError& e) {
-    shard_->add(m_errors_);
+    metrics_.add(m_errors_);
     response = make_error(req.id, req.has_id, e.code, e.message);
   } catch (const std::exception& e) {
-    shard_->add(m_errors_);
+    metrics_.add(m_errors_);
     response = make_error(req.id, req.has_id, kErrInternal, e.what());
   }
   write_line(*item.conn, response.dump());
-  shard_->observe(m_request_seconds_, watch.elapsed_seconds());
+  metrics_.observe(m_request_seconds_, watch.elapsed_seconds());
 }
 
 }  // namespace sasta::server

@@ -116,7 +116,6 @@ class Server {
   ServerOptions opt_;
   cell::Library library_;
   util::MetricsRegistry metrics_;
-  util::MetricsShard* shard_ = nullptr;  ///< owned by metrics_
   util::CounterId m_requests_;
   util::CounterId m_errors_;
   util::CounterId m_sessions_;

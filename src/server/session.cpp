@@ -153,11 +153,8 @@ Session::AnalyzeOutcome Session::analyze(const AnalyzeRequest& req,
       {"session.merge_seconds", merged_at - retimed_at},
       {"session.render_seconds", rendered_at - merged_at},
   };
-  std::vector<util::GaugeId> ids;
-  for (const auto& stage : stages) ids.push_back(metrics.gauge(stage.first));
-  util::MetricsShard& shard = metrics.create_shard();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    shard.set(ids[i], stages[i].second);
+  for (const auto& [name, seconds] : stages) {
+    metrics.set(metrics.gauge(name), seconds);
   }
 
   const util::MetricsSnapshot snapshot = metrics.snapshot();

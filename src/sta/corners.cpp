@@ -26,25 +26,18 @@ MultiCornerResult analyze_corners(const netlist::Netlist& nl,
                                   const charlib::CharLibrary& charlib,
                                   const tech::Technology& tech,
                                   const std::vector<Corner>& corners,
-                                  const StaToolOptions& base_options,
-                                  long keep_worst) {
+                                  const std::vector<TimedPath>& paths,
+                                  const DelayCalcOptions& delay) {
   SASTA_CHECK(!corners.empty()) << " corner list empty";
-  // One path-finding pass at the base (typical) delay settings.
-  StaToolOptions opt = base_options;
-  opt.keep_worst = keep_worst;
-  StaTool tool(nl, charlib, tech, opt);
-  const StaResult base = tool.run();
-
   MultiCornerResult out;
-  out.stats = base.stats;
   for (const Corner& corner : corners) {
-    DelayCalcOptions dopt = base_options.delay;
+    DelayCalcOptions dopt = delay;
     dopt.temperature_c = corner.temp_c;
     dopt.vdd = corner.vdd;
     DelayCalculator calc(nl, charlib, tech, dopt);
     CornerResult cr;
     cr.corner = corner;
-    for (const TimedPath& tp : base.paths) {
+    for (const TimedPath& tp : paths) {
       TimedPath retimed = calc.compute(tp.path);
       if (retimed.delay > cr.critical_delay) {
         cr.critical_delay = retimed.delay;

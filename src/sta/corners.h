@@ -1,15 +1,15 @@
 // Multi-corner analysis: the paper's polynomial model carries temperature
 // and supply voltage as first-class variables (Eq. (3)), so re-evaluating
 // timing at a PVT corner costs only polynomial evaluations — no
-// re-characterization and no re-simulation.  This module runs the
-// sensitization-aware analysis once (path topology and vectors do not
-// depend on PVT) and re-times the discovered paths at every corner.
+// re-characterization and no re-simulation.  Path topology and vectors do
+// not depend on PVT, so this module takes the paths one sensitization-aware
+// analysis retained and re-times them at every corner; it never searches.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "sta/sta_tool.h"
+#include "sta/delaycalc.h"
 
 namespace sasta::sta {
 
@@ -31,21 +31,21 @@ struct CornerResult {
 
 struct MultiCornerResult {
   std::vector<CornerResult> corners;  ///< in input order
-  PathFinderStats stats;              ///< from the single path-finding pass
 
   /// Corner with the largest critical delay.
   const CornerResult& worst() const;
 };
 
-/// Runs path finding once and re-times the retained paths per corner.
-/// `keep_worst` bounds the per-corner candidate set (the critical path can
-/// differ between corners, so more than 1 candidate must be retained;
-/// 32 is plenty in practice).
+/// Re-times `paths` (typically StaResult::paths of one run) at every
+/// corner and keeps each corner's slowest.  The critical path can differ
+/// between corners, so the run should retain more than one candidate; 32
+/// is plenty in practice.  `delay` supplies every delay setting other than
+/// the corner's temperature and supply.
 MultiCornerResult analyze_corners(const netlist::Netlist& nl,
                                   const charlib::CharLibrary& charlib,
                                   const tech::Technology& tech,
                                   const std::vector<Corner>& corners,
-                                  const StaToolOptions& base_options = {},
-                                  long keep_worst = 32);
+                                  const std::vector<TimedPath>& paths,
+                                  const DelayCalcOptions& delay = {});
 
 }  // namespace sasta::sta

@@ -61,12 +61,10 @@ struct PathFinder::Worker {
   /// Per-source output buffer when several workers run.  Null when the
   /// single worker runs alone, where paths stream straight to the sink.
   std::vector<TruePath>* out = nullptr;
-  /// Observability: this worker's private metrics shard (null = metrics
-  /// off) and its index, which names its trace lane and attribution rows.
-  util::MetricsShard* metrics = nullptr;
   /// Flight-recorder lane `tid` (null = recorder off).  Written on the hot
   /// path with relaxed stores only; see attach_recorder().
   util::FlightLane* rec = nullptr;
+  /// This worker's index, which names its trace lane and attribution rows.
   int tid = 0;
 
   /// Search-cost attribution scratch (empty unless the run requested
@@ -243,11 +241,11 @@ void PathFinder::record(Worker& w, netlist::NetId sink_net, unsigned alive) {
                     static_cast<std::uint32_t>(sink_net));
       w.rec->note_path_recorded();
     }
-    if (w.metrics != nullptr) {
+    if (opt_.metrics != nullptr) {
       // "Justification depth" of the recorded path: how many accumulated
       // side-value goals the final joint solve had to satisfy.
-      w.metrics->observe(justify_depth_hist_,
-                         static_cast<double>(w.goal_stack.size()));
+      opt_.metrics->observe(justify_depth_hist_,
+                            static_cast<double>(w.goal_stack.size()));
     }
     const int count = ++w.course_counts[p.course_key(nl_)];
     if (count == 1) ++w.stats.courses;
@@ -432,8 +430,7 @@ void PathFinder::prepare_observability(std::size_t n_sources,
       hb_lane_trials_[i].store(0, std::memory_order_relaxed);
     }
   }
-  // Registration happens here, before any worker shard exists, so the id
-  // is in range for every shard of this run.
+  // Registered once here so the workers observe through a resolved id.
   if (opt_.metrics != nullptr) {
     justify_depth_hist_ = opt_.metrics->histogram(
         "pathfinder.justify_depth", {1, 2, 4, 8, 16, 32, 64, 128});
@@ -682,7 +679,6 @@ PathFinderStats PathFinder::run(
     if (i >= sources.size()) return;
     Worker w(*this);
     w.tid = static_cast<int>(t);
-    if (opt_.metrics != nullptr) w.metrics = &opt_.metrics->create_shard();
     attach_recorder(w);
     if (attribution_on) w.arm_attribution(nl_.num_instances());
     for (; i < sources.size();
@@ -739,16 +735,11 @@ PathFinderStats PathFinder::run(
     }
   }
   if (opt_.metrics != nullptr) {
-    const util::GaugeId run_seconds =
-        opt_.metrics->gauge("pathfinder.run_seconds");
-    const util::CounterId sources_total =
-        opt_.metrics->counter("pathfinder.sources_total");
-    const util::CounterId workers =
-        opt_.metrics->counter("pathfinder.workers");
-    util::MetricsShard& shard = opt_.metrics->create_shard();
-    shard.add(run_seconds, total.cpu_seconds);
-    shard.add(sources_total, static_cast<long>(sources.size()));
-    shard.add(workers, static_cast<long>(n_workers));
+    util::MetricsRegistry& m = *opt_.metrics;
+    m.add(m.gauge("pathfinder.run_seconds"), total.cpu_seconds);
+    m.add(m.counter("pathfinder.sources_total"),
+          static_cast<long>(sources.size()));
+    m.add(m.counter("pathfinder.workers"), static_cast<long>(n_workers));
   }
   sink_ = nullptr;
   return total;

@@ -134,8 +134,9 @@ struct PathFinderOptions {
   // instrumentation on or off at every thread count.
 
   /// Run-level counters/gauges plus the justification-depth histogram are
-  /// recorded here (each worker writes its own shard).  Per-source and
-  /// per-worker figures live in `attribution`.
+  /// recorded here (workers observe the histogram directly under the
+  /// registry's lock).  Per-source and per-worker figures live in
+  /// `attribution`.
   util::MetricsRegistry* metrics = nullptr;
   /// Chrome trace-event spans: the preparation phase, the run, and one span
   /// per source-PI search on lane `tid = worker + 1`.
@@ -237,7 +238,7 @@ class PathFinder {
   /// never span workers), and the progress-heartbeat bookkeeping.
   void run_source(Worker& w, std::size_t source_index, netlist::NetId source);
   /// Registers the justification-depth histogram and resets the heartbeat
-  /// state.  Called once per run(), before any shard exists.
+  /// state.  Called once per run(), before any worker starts.
   void prepare_observability(std::size_t n_sources, unsigned n_workers);
   /// Emits an INFO progress line when the heartbeat interval elapsed (the
   /// interval is claimed by CAS, so exactly one worker logs per period).

@@ -113,26 +113,18 @@ void PathSelection::finish(std::vector<TimedPath>& paths,
 StaResult StaTool::run() {
   StaResult result;
   util::TraceSpan run_span(opt_.finder.trace, "sta/run", 0);
-  // Delay-calculation observability: ids registered before the shard so the
-  // slots exist; timing accumulates in a plain local because the sink is
-  // always invoked from this thread.
-  util::MetricsShard* metrics_shard = nullptr;
-  util::CounterId paths_timed_id;
-  util::GaugeId delaycalc_seconds_id;
+  // Delay-calculation observability: timing accumulates in plain locals
+  // because the sink is always invoked from this thread.
+  util::MetricsRegistry* const metrics = opt_.finder.metrics;
   double delaycalc_seconds = 0.0;
   long paths_timed = 0;
-  if (opt_.finder.metrics != nullptr) {
-    paths_timed_id = opt_.finder.metrics->counter("delaycalc.paths_timed");
-    delaycalc_seconds_id = opt_.finder.metrics->gauge("delaycalc.seconds");
-    metrics_shard = &opt_.finder.metrics->create_shard();
-  }
   PathFinder finder(nl_, charlib_, opt_.finder);
   if (opt_.finder.n_worst > 0) finder.enable_n_worst_pruning(calc_);
 
   PathSelection selection(opt_.keep_worst, opt_.keep_fastest);
   result.stats = finder.run([&](const TruePath& p) {
     TimedPath timed;
-    if (metrics_shard != nullptr) {
+    if (metrics != nullptr) {
       util::Stopwatch timed_watch;
       timed = calc_.compute(p);
       delaycalc_seconds += timed_watch.elapsed_seconds();
@@ -142,9 +134,9 @@ StaResult StaTool::run() {
     }
     selection.add(std::move(timed));
   });
-  if (metrics_shard != nullptr) {
-    metrics_shard->add(paths_timed_id, paths_timed);
-    metrics_shard->add(delaycalc_seconds_id, delaycalc_seconds);
+  if (metrics != nullptr) {
+    metrics->add(metrics->counter("delaycalc.paths_timed"), paths_timed);
+    metrics->add(metrics->gauge("delaycalc.seconds"), delaycalc_seconds);
   }
   util::TraceSpan sort_span(opt_.finder.trace, "sta/sort", 0);
   selection.finish(result.paths, result.fastest);

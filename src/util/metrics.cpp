@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 
 #include "util/check.h"
 
@@ -12,77 +10,34 @@ namespace sasta::util {
 
 namespace {
 
-/// Reduces shard contributions in a creation-order-independent order.
-/// Worker shards are created in whatever order the pool's threads happen
-/// to start, and double addition is not associative — summing three or
-/// more nonzero contributions in thread order could make a merged gauge
-/// differ bit for bit between otherwise identical runs.  Sorting the
-/// contributions by their 64-bit pattern first makes the reduction a pure
-/// function of the contribution multiset.
-double deterministic_sum(std::vector<double>& values) {
-  std::sort(values.begin(), values.end(), [](double a, double b) {
-    std::uint64_t ua, ub;
-    std::memcpy(&ua, &a, sizeof(ua));
-    std::memcpy(&ub, &b, sizeof(ub));
-    return ua < ub;
-  });
-  double total = 0.0;
-  for (const double v : values) total += v;
-  return total;
+/// Registers `name` in `table` (idempotent) and returns its index.
+template <typename Value>
+int intern(std::map<std::string, int>& index,
+           std::vector<std::pair<std::string, Value>>& table,
+           const std::string& name, Value initial) {
+  const auto [it, inserted] =
+      index.emplace(name, static_cast<int>(table.size()));
+  if (inserted) table.emplace_back(name, std::move(initial));
+  return it->second;
+}
+
+/// The value a handle names, or null for an invalid handle.
+template <typename Value>
+Value* slot(std::vector<std::pair<std::string, Value>>& table, int index) {
+  if (index < 0 || index >= static_cast<int>(table.size())) return nullptr;
+  return &table[index].second;
 }
 
 }  // namespace
 
-MetricsShard::MetricsShard(std::size_t num_counters, std::size_t num_gauges,
-                           const std::vector<std::vector<double>>& hist_bounds)
-    : counters_(num_counters),
-      gauges_(num_gauges),
-      histograms_(hist_bounds.size()) {
-  for (std::size_t h = 0; h < hist_bounds.size(); ++h) {
-    histograms_[h].bounds = hist_bounds[h];
-    histograms_[h].counts =
-        std::vector<std::atomic<long>>(hist_bounds[h].size() + 1);
-  }
-}
-
-void MetricsShard::observe(HistogramId id, double value) {
-  if (id.index < 0 || id.index >= static_cast<int>(histograms_.size()))
-    return;
-  HistogramCells& h = histograms_[id.index];
-  const std::size_t bucket =
-      std::lower_bound(h.bounds.begin(), h.bounds.end(), value) -
-      h.bounds.begin();
-  h.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  h.sum.fetch_add(value, std::memory_order_relaxed);
-  h.observations.fetch_add(1, std::memory_order_relaxed);
-  // CAS-max: losing the race means another thread installed a value at
-  // least as large as ours, so re-check and retry only while we would
-  // still raise it.
-  double seen = h.max.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !h.max.compare_exchange_weak(seen, value,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
 CounterId MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = counter_index_.find(name);
-  if (it != counter_index_.end()) return {it->second};
-  const int index = static_cast<int>(counter_names_.size());
-  counter_names_.push_back(name);
-  counter_index_.emplace(name, index);
-  return {index};
+  return {intern(counter_index_, counters_, name, 0L)};
 }
 
 GaugeId MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = gauge_index_.find(name);
-  if (it != gauge_index_.end()) return {it->second};
-  const int index = static_cast<int>(gauge_names_.size());
-  gauge_names_.push_back(name);
-  gauge_index_.emplace(name, index);
-  return {index};
+  return {intern(gauge_index_, gauges_, name, 0.0)};
 }
 
 HistogramId MetricsRegistry::histogram(const std::string& name,
@@ -96,72 +51,44 @@ HistogramId MetricsRegistry::histogram(const std::string& name,
               std::adjacent_find(bounds.begin(), bounds.end()) ==
                   bounds.end())
       << " histogram '" << name << "' bounds must be strictly increasing";
-  const int index = static_cast<int>(histogram_defs_.size());
-  histogram_defs_.push_back({name, std::move(bounds)});
-  histogram_index_.emplace(name, index);
-  return {index};
+  MetricsSnapshot::Histogram h;
+  h.counts.assign(bounds.size() + 1, 0);
+  h.bounds = std::move(bounds);
+  return {intern(histogram_index_, histograms_, name, std::move(h))};
 }
 
-MetricsShard& MetricsRegistry::create_shard() {
+void MetricsRegistry::add(CounterId id, long delta) {
   std::lock_guard<std::mutex> lk(mu_);
-  std::vector<std::vector<double>> hist_bounds;
-  hist_bounds.reserve(histogram_defs_.size());
-  for (const HistogramDef& def : histogram_defs_) {
-    hist_bounds.push_back(def.bounds);
-  }
-  shards_.push_back(std::unique_ptr<MetricsShard>(new MetricsShard(
-      counter_names_.size(), gauge_names_.size(), hist_bounds)));
-  return *shards_.back();
+  if (long* v = slot(counters_, id.index)) *v += delta;
+}
+
+void MetricsRegistry::set(GaugeId id, double value) {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (double* v = slot(gauges_, id.index)) *v = value;
+}
+
+void MetricsRegistry::add(GaugeId id, double delta) {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (double* v = slot(gauges_, id.index)) *v += delta;
+}
+
+void MetricsRegistry::observe(HistogramId id, double value) {
+  std::lock_guard<std::mutex> lk(mu_);
+  MetricsSnapshot::Histogram* h = slot(histograms_, id.index);
+  if (h == nullptr) return;
+  ++h->counts[std::lower_bound(h->bounds.begin(), h->bounds.end(), value) -
+              h->bounds.begin()];
+  h->sum += value;
+  h->max = h->observations == 0 ? value : std::max(h->max, value);
+  ++h->observations;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
   MetricsSnapshot snap;
-  for (const std::string& name : counter_names_) snap.counters[name] = 0;
-  for (const std::string& name : gauge_names_) snap.gauges[name] = 0.0;
-  for (const HistogramDef& def : histogram_defs_) {
-    MetricsSnapshot::Histogram& h = snap.histograms[def.name];
-    h.bounds = def.bounds;
-    h.counts.assign(def.bounds.size() + 1, 0);
-  }
-  // Floating-point contributions are gathered per metric and reduced with
-  // deterministic_sum: shards_ is ordered by creation, which is a thread
-  // race under the worker pool, and the merged value must not depend on it.
-  std::vector<std::vector<double>> gauge_parts(gauge_names_.size());
-  std::vector<std::vector<double>> hist_sum_parts(histogram_defs_.size());
-  std::vector<double> hist_max(histogram_defs_.size(),
-                               -std::numeric_limits<double>::infinity());
-  for (const auto& shard : shards_) {
-    for (std::size_t i = 0; i < shard->counters_.size(); ++i) {
-      snap.counters[counter_names_[i]] +=
-          shard->counters_[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < shard->gauges_.size(); ++i) {
-      gauge_parts[i].push_back(
-          shard->gauges_[i].load(std::memory_order_relaxed));
-    }
-    for (std::size_t i = 0; i < shard->histograms_.size(); ++i) {
-      const MetricsShard::HistogramCells& cells = shard->histograms_[i];
-      MetricsSnapshot::Histogram& h = snap.histograms[histogram_defs_[i].name];
-      for (std::size_t b = 0; b < cells.counts.size(); ++b) {
-        h.counts[b] += cells.counts[b].load(std::memory_order_relaxed);
-      }
-      hist_sum_parts[i].push_back(cells.sum.load(std::memory_order_relaxed));
-      h.observations += cells.observations.load(std::memory_order_relaxed);
-      // max merges with std::max, which is order-independent by itself —
-      // no deterministic_sum-style reduction needed.
-      hist_max[i] =
-          std::max(hist_max[i], cells.max.load(std::memory_order_relaxed));
-    }
-  }
-  for (std::size_t i = 0; i < gauge_parts.size(); ++i) {
-    snap.gauges[gauge_names_[i]] = deterministic_sum(gauge_parts[i]);
-  }
-  for (std::size_t i = 0; i < hist_sum_parts.size(); ++i) {
-    MetricsSnapshot::Histogram& h = snap.histograms[histogram_defs_[i].name];
-    h.sum = deterministic_sum(hist_sum_parts[i]);
-    h.max = h.observations > 0 ? hist_max[i] : 0.0;
-  }
+  snap.counters.insert(counters_.begin(), counters_.end());
+  snap.gauges.insert(gauges_.begin(), gauges_.end());
+  snap.histograms.insert(histograms_.begin(), histograms_.end());
   return snap;
 }
 

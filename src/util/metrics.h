@@ -1,39 +1,41 @@
-// Sharded metrics registry: named counters, gauges and fixed-bucket
-// histograms with JSON serialization.
+// Metrics registry: named counters, gauges and fixed-bucket histograms
+// with JSON serialization.
 //
-// The design follows the per-worker search contexts of the parallel path
-// finder: every writer owns a private MetricsShard and records into plain
-// relaxed atomics with no locking, so the hot path is one indexed atomic
-// add.  Shards are merged only on read (snapshot / write_json), which is
-// also safe while writers are still running — the progress heartbeat reads
-// live shards mid-run.
+// The registry is one table guarded by one mutex, the model
+// util::TraceCollector uses: every write (add / set / observe) takes the
+// lock and updates its slot in place, and snapshot() copies the table under
+// the same lock, so it is safe while writers are still running.  Nearly
+// every metric is written once per run from one thread; the one metric
+// written from the search's worker threads, `pathfinder.justify_depth`, is
+// observed once per recorded path, and at that granularity the lock is
+// uncontended noise.
+//
+// Values do not depend on the order in which threads write them: counters
+// and histogram bucket counts are integer sums, every gauge has one writer,
+// and the histogram sums written from several threads add small integers,
+// which is exact in any order.
 //
 // Instrumentation is observational only and optional: every consumer holds
-// a `MetricsRegistry*` that may be null, in which case no shard exists and
-// the recording sites reduce to a pointer test.  Metrics must never feed
-// back into algorithmic decisions — results are required to be
-// bit-identical with instrumentation on or off.
+// a `MetricsRegistry*` that may be null, in which case the recording sites
+// reduce to a pointer test.  Metrics must never feed back into algorithmic
+// decisions — results are required to be bit-identical with instrumentation
+// on or off.
 //
-// Registration (by name, idempotent) is mutex-guarded and may continue
-// after shards exist: a shard only carries slots for the metrics known at
-// its creation, and ids past its capacity are silently ignored — callers
-// always register their ids *before* creating the shard they write them
-// through, so in practice nothing is dropped.
+// Registration (by name, idempotent) may happen at any time; a handle is an
+// index into the table and stays valid for the registry's lifetime.
 #pragma once
 
-#include <atomic>
-#include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sasta::util {
 
-/// Typed handles into a shard's slot tables.  Default-constructed handles
-/// are invalid and ignored by every shard operation.
+/// Typed handles into the registry's table.  Default-constructed handles
+/// are invalid and ignored by every write.
 struct CounterId {
   int index = -1;
 };
@@ -44,64 +46,8 @@ struct HistogramId {
   int index = -1;
 };
 
-class MetricsRegistry;
-
-/// One writer's private slice of metric storage.  Created by
-/// MetricsRegistry::create_shard() and owned by the registry; writes are
-/// relaxed atomics so concurrent snapshot() readers see coherent values.
-class MetricsShard {
- public:
-  void add(CounterId id, long delta = 1) {
-    if (id.index < 0 || id.index >= static_cast<int>(counters_.size()))
-      return;
-    counters_[id.index].fetch_add(delta, std::memory_order_relaxed);
-  }
-  void set(GaugeId id, double value) {
-    if (id.index < 0 || id.index >= static_cast<int>(gauges_.size())) return;
-    gauges_[id.index].store(value, std::memory_order_relaxed);
-  }
-  void add(GaugeId id, double delta) {
-    if (id.index < 0 || id.index >= static_cast<int>(gauges_.size())) return;
-    gauges_[id.index].fetch_add(delta, std::memory_order_relaxed);
-  }
-  /// Records one histogram observation: the first bucket whose upper bound
-  /// is >= value counts it (inclusive upper edges); values above the last
-  /// bound land in the overflow bucket.
-  void observe(HistogramId id, double value);
-
- private:
-  friend class MetricsRegistry;
-
-  struct HistogramCells {
-    /// Inclusive upper bucket edges, copied from the registry at shard
-    /// creation so recording never touches registry state (registration of
-    /// further metrics may reallocate the registry's tables concurrently).
-    std::vector<double> bounds;
-    std::vector<std::atomic<long>> counts;  ///< bounds.size() + 1 (overflow)
-    std::atomic<double> sum{0.0};
-    std::atomic<long> observations{0};
-    /// Largest value observed (CAS-max; -inf until the first observation).
-    /// The overflow bucket has no finite upper edge, so without this the
-    /// export would have no honest value to report for quantiles that land
-    /// there.
-    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-  };
-
-  MetricsShard(std::size_t num_counters, std::size_t num_gauges,
-               const std::vector<std::vector<double>>& hist_bounds);
-
-  std::vector<std::atomic<long>> counters_;
-  std::vector<std::atomic<double>> gauges_;
-  std::vector<HistogramCells> histograms_;
-};
-
-/// Merged cross-shard view.  Counters and gauges sum over shards (shards
-/// partition the quantity they measure); histograms sum per-bucket.  Keys
-/// are sorted, so serialization is deterministic given the same
-/// registration sequence.  The floating-point sums (gauges, histogram
-/// `sum`) are reduced in a creation-order-independent order, so even the
-/// racy thread order in which worker shards come into existence cannot
-/// change a merged value bit for bit.
+/// A copy of the registry's table.  Keys are sorted, so serialization is
+/// deterministic given the same recorded values.
 struct MetricsSnapshot {
   struct Histogram {
     std::vector<double> bounds;  ///< inclusive upper bucket edges
@@ -139,8 +85,8 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Registers (or looks up — registration is idempotent by name) a named
-  /// metric and returns its handle.  Thread-safe; cheap but not hot-path
-  /// cheap: resolve handles once, outside loops.
+  /// metric and returns its handle.  Thread-safe; resolve handles once,
+  /// outside loops.
   CounterId counter(const std::string& name);
   GaugeId gauge(const std::string& name);
   /// `bounds` are strictly increasing inclusive upper bucket edges; one
@@ -148,33 +94,28 @@ class MetricsRegistry {
   /// existing histogram name returns the original id (bounds unchanged).
   HistogramId histogram(const std::string& name, std::vector<double> bounds);
 
-  /// Creates a writer shard sized for every metric registered so far.  The
-  /// registry keeps ownership; the reference stays valid for the registry's
-  /// lifetime.  Metrics registered later are not recordable through this
-  /// shard (their ids are out of range and ignored).
-  MetricsShard& create_shard();
+  void add(CounterId id, long delta = 1);
+  void set(GaugeId id, double value);
+  void add(GaugeId id, double delta);
+  /// Records one histogram observation: the first bucket whose upper bound
+  /// is >= value counts it (inclusive upper edges); values above the last
+  /// bound land in the overflow bucket.
+  void observe(HistogramId id, double value);
 
-  /// Merged snapshot across all shards.  Safe while writers are active:
-  /// relaxed reads may trail in-flight updates but never tear.
+  /// A copy of the table, taken under the lock.
   MetricsSnapshot snapshot() const;
 
   /// snapshot() serialized with MetricsSnapshot::write_json.
   void write_json(std::ostream& os) const;
 
  private:
-  struct HistogramDef {
-    std::string name;
-    std::vector<double> bounds;
-  };
-
   mutable std::mutex mu_;
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
-  std::vector<HistogramDef> histogram_defs_;
+  std::vector<std::pair<std::string, long>> counters_;
+  std::vector<std::pair<std::string, double>> gauges_;
+  std::vector<std::pair<std::string, MetricsSnapshot::Histogram>> histograms_;
   std::map<std::string, int> counter_index_;
   std::map<std::string, int> gauge_index_;
   std::map<std::string, int> histogram_index_;
-  std::vector<std::unique_ptr<MetricsShard>> shards_;
 };
 
 /// Escapes a string for embedding in a JSON document (quotes included).

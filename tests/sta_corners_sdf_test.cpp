@@ -5,6 +5,7 @@
 #include "netlist/fig4_testcircuit.h"
 #include "sta/corners.h"
 #include "sta/sdf_writer.h"
+#include "sta/sta_tool.h"
 #include "tech/technology.h"
 #include "test_charlib.h"
 
@@ -48,8 +49,11 @@ TEST(Corners, DefaultSetOrderedSlowToFast) {
 
 TEST(Corners, SlowCornerSlowestFastCornerFastest) {
   const auto fig4 = netlist::build_fig4_circuit(testing::test_library());
+  StaToolOptions opt;
+  opt.keep_worst = 32;
+  const StaResult run = StaTool(fig4.nl, full_fig4_charlib(), T(), opt).run();
   const auto res = analyze_corners(fig4.nl, full_fig4_charlib(), T(),
-                                   default_corners(T()));
+                                   default_corners(T()), run.paths);
   ASSERT_EQ(res.corners.size(), 3u);
   const double fast = res.corners[0].critical_delay;
   const double typ = res.corners[1].critical_delay;
@@ -67,7 +71,7 @@ TEST(Corners, SlowCornerSlowestFastCornerFastest) {
 TEST(Corners, EmptyCornerListRejected) {
   const auto fig4 = netlist::build_fig4_circuit(testing::test_library());
   EXPECT_THROW(analyze_corners(fig4.nl, testing::test_charlib("90nm"), T(),
-                               {}),
+                               {}, {}),
                util::Error);
 }
 

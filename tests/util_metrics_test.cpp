@@ -1,10 +1,12 @@
-// Metrics registry (shard/merge model, histogram bucket edges, JSON) and
+// Metrics registry (one locked table, histogram bucket edges, JSON) and
 // Chrome trace-event collector.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,15 +17,13 @@
 namespace sasta::util {
 namespace {
 
-TEST(Metrics, CountersMergeAcrossShards) {
+TEST(Metrics, CountersAccumulate) {
   MetricsRegistry reg;
   const CounterId hits = reg.counter("hits");
   const CounterId misses = reg.counter("misses");
-  MetricsShard& a = reg.create_shard();
-  MetricsShard& b = reg.create_shard();
-  a.add(hits, 3);
-  a.add(misses);
-  b.add(hits, 4);
+  reg.add(hits, 3);
+  reg.add(misses);
+  reg.add(hits, 4);
 
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("hits"), 7);
@@ -36,32 +36,30 @@ TEST(Metrics, RegistrationIsIdempotentByName) {
   const CounterId again = reg.counter("n");
   EXPECT_EQ(first.index, again.index);
 
-  MetricsShard& shard = reg.create_shard();
-  shard.add(first, 2);
-  shard.add(again, 3);
+  reg.add(first, 2);
+  reg.add(again, 3);
   EXPECT_EQ(reg.snapshot().counters.at("n"), 5);
 }
 
-TEST(Metrics, GaugesSumAcrossShards) {
+TEST(Metrics, GaugesSetAndAdd) {
   MetricsRegistry reg;
   const GaugeId busy = reg.gauge("busy_seconds");
-  MetricsShard& a = reg.create_shard();
-  MetricsShard& b = reg.create_shard();
-  a.set(busy, 1.5);
-  b.set(busy, 2.0);
-  b.add(busy, 0.25);
-  EXPECT_DOUBLE_EQ(reg.snapshot().gauges.at("busy_seconds"), 3.75);
+  reg.set(busy, 1.5);
+  reg.add(busy, 0.25);
+  EXPECT_DOUBLE_EQ(reg.snapshot().gauges.at("busy_seconds"), 1.75);
+  // set() replaces the value; it does not accumulate.
+  reg.set(busy, 2.0);
+  EXPECT_DOUBLE_EQ(reg.snapshot().gauges.at("busy_seconds"), 2.0);
 }
 
 TEST(Metrics, HistogramBucketEdgesAreInclusiveUpperBounds) {
   MetricsRegistry reg;
   const HistogramId h = reg.histogram("depth", {1.0, 2.0, 4.0});
-  MetricsShard& shard = reg.create_shard();
   // Bucket 0: <= 1, bucket 1: (1, 2], bucket 2: (2, 4], bucket 3: > 4.
-  for (const double v : {0.5, 1.0}) shard.observe(h, v);
-  for (const double v : {1.5, 2.0}) shard.observe(h, v);
-  shard.observe(h, 3.0);
-  for (const double v : {4.5, 100.0}) shard.observe(h, v);
+  for (const double v : {0.5, 1.0}) reg.observe(h, v);
+  for (const double v : {1.5, 2.0}) reg.observe(h, v);
+  reg.observe(h, 3.0);
+  for (const double v : {4.5, 100.0}) reg.observe(h, v);
 
   const MetricsSnapshot::Histogram snap = reg.snapshot().histograms.at("depth");
   EXPECT_EQ(snap.bounds, (std::vector<double>{1.0, 2.0, 4.0}));
@@ -70,71 +68,85 @@ TEST(Metrics, HistogramBucketEdgesAreInclusiveUpperBounds) {
   EXPECT_DOUBLE_EQ(snap.sum, 0.5 + 1.0 + 1.5 + 2.0 + 3.0 + 4.5 + 100.0);
 }
 
-TEST(Metrics, HistogramBucketsMergeAcrossShards) {
-  MetricsRegistry reg;
-  const HistogramId h = reg.histogram("h", {10.0});
-  MetricsShard& a = reg.create_shard();
-  MetricsShard& b = reg.create_shard();
-  a.observe(h, 1.0);
-  b.observe(h, 2.0);
-  b.observe(h, 20.0);
-  const auto snap = reg.snapshot().histograms.at("h");
-  EXPECT_EQ(snap.counts, (std::vector<long>{2, 1}));
-  EXPECT_EQ(snap.observations, 3);
-}
-
-TEST(Metrics, LateRegistrationDoesNotCorruptOlderShards) {
+TEST(Metrics, LateRegistrationIsRecordable) {
   MetricsRegistry reg;
   const CounterId early = reg.counter("early");
-  MetricsShard& old_shard = reg.create_shard();
-  // Registered after old_shard exists: the old shard has no slot and must
-  // ignore the id; a new shard records it normally.
+  reg.add(early, 1);
+  // Registered after writes began: the id is recordable at once, and the
+  // earlier metric keeps its value.
   const CounterId late = reg.counter("late");
-  old_shard.add(late, 5);
-  MetricsShard& new_shard = reg.create_shard();
-  new_shard.add(late, 2);
-  old_shard.add(early, 1);
+  reg.add(late, 2);
+  const HistogramId h = reg.histogram("late_hist", {1.0});
+  reg.observe(h, 0.5);
 
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("early"), 1);
   EXPECT_EQ(snap.counters.at("late"), 2);
+  EXPECT_EQ(snap.histograms.at("late_hist").observations, 1);
 }
 
 TEST(Metrics, InvalidIdsAreIgnored) {
   MetricsRegistry reg;
-  MetricsShard& shard = reg.create_shard();
-  shard.add(CounterId{}, 7);
-  shard.set(GaugeId{}, 1.0);
-  shard.observe(HistogramId{}, 1.0);
+  reg.add(CounterId{}, 7);
+  reg.set(GaugeId{}, 1.0);
+  reg.add(GaugeId{}, 1.0);
+  reg.observe(HistogramId{}, 1.0);
+  // An index past the table is as invalid as a default handle.
+  reg.add(CounterId{5}, 7);
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.gauges.empty());
   EXPECT_TRUE(snap.histograms.empty());
 }
 
-TEST(Metrics, ConcurrentShardWritesAreExact) {
+TEST(Metrics, ConcurrentWritesAreExact) {
   MetricsRegistry reg;
   const CounterId n = reg.counter("n");
   const HistogramId h = reg.histogram("h", {0.5});
   constexpr int kThreads = 8;
   constexpr int kIncrements = 10000;
-  std::vector<MetricsShard*> shards;
-  for (int t = 0; t < kThreads; ++t) shards.push_back(&reg.create_shard());
+  std::atomic<int> snapshots{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&reg, shard = shards[t], n, h] {
+    threads.emplace_back([&reg, &snapshots, n, h, t] {
+      // Each thread writes its own gauge: one writer per gauge.
+      const GaugeId g = reg.gauge("g" + std::to_string(t));
       for (int i = 0; i < kIncrements; ++i) {
-        shard->add(n);
-        shard->observe(h, 1.0);
-        // Concurrent snapshots must be safe while writers run.
-        if (i % 4096 == 0) (void)reg.snapshot();
+        reg.add(n);
+        reg.observe(h, static_cast<double>(i % 3));
+        reg.add(g, 1.0);
+        // Snapshots taken mid-run must be safe and never run ahead of
+        // what has been written.
+        if (i % 1024 == 0) {
+          const MetricsSnapshot mid = reg.snapshot();
+          EXPECT_LE(mid.counters.at("n"), long{kThreads} * kIncrements);
+          const auto& mh = mid.histograms.at("h");
+          long counted = 0;
+          for (const long c : mh.counts) counted += c;
+          EXPECT_EQ(counted, mh.observations);
+          ++snapshots;
+        }
       }
     });
   }
   for (std::thread& t : threads) t.join();
   const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("n"), long{kThreads} * kIncrements);
-  EXPECT_EQ(snap.histograms.at("h").observations, long{kThreads} * kIncrements);
+  const long total = long{kThreads} * kIncrements;
+  EXPECT_EQ(snap.counters.at("n"), total);
+  const MetricsSnapshot::Histogram& hist = snap.histograms.at("h");
+  EXPECT_EQ(hist.observations, total);
+  // i % 3 is 0 for ceil(kIncrements / 3) of each thread's values.
+  const long zeros = long{kThreads} * ((kIncrements + 2) / 3);
+  EXPECT_EQ(hist.counts, (std::vector<long>{zeros, total - zeros}));
+  // Small integers sum exactly in any interleaving.
+  long expected_sum = 0;
+  for (int i = 0; i < kIncrements; ++i) expected_sum += i % 3;
+  EXPECT_EQ(hist.sum, static_cast<double>(expected_sum * kThreads));
+  EXPECT_EQ(hist.max, 2.0);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(snap.gauges.at("g" + std::to_string(t)), kIncrements);
+  }
+  EXPECT_EQ(snapshots.load(), kThreads * ((kIncrements + 1023) / 1024));
 }
 
 TEST(Metrics, HistogramPercentilesFromKnownDistribution) {
@@ -142,12 +154,11 @@ TEST(Metrics, HistogramPercentilesFromKnownDistribution) {
   // Bucket edges 1, 2, 4, 8; feed 100 observations with a known shape:
   // 50 in (<=1], 30 in (1,2], 15 in (2,4], 4 in (4,8], 1 overflow.
   const HistogramId h = reg.histogram("d", {1.0, 2.0, 4.0, 8.0});
-  MetricsShard& shard = reg.create_shard();
-  for (int i = 0; i < 50; ++i) shard.observe(h, 0.5);
-  for (int i = 0; i < 30; ++i) shard.observe(h, 1.5);
-  for (int i = 0; i < 15; ++i) shard.observe(h, 3.0);
-  for (int i = 0; i < 4; ++i) shard.observe(h, 5.0);
-  shard.observe(h, 100.0);
+    for (int i = 0; i < 50; ++i) reg.observe(h, 0.5);
+  for (int i = 0; i < 30; ++i) reg.observe(h, 1.5);
+  for (int i = 0; i < 15; ++i) reg.observe(h, 3.0);
+  for (int i = 0; i < 4; ++i) reg.observe(h, 5.0);
+  reg.observe(h, 100.0);
 
   const MetricsSnapshot::Histogram snap = reg.snapshot().histograms.at("d");
   // Percentiles resolve to the inclusive upper edge of the first bucket
@@ -171,8 +182,7 @@ TEST(Metrics, HistogramPercentilesFromKnownDistribution) {
 TEST(Metrics, AllOverflowDistributionReportsObservedMax) {
   MetricsRegistry reg;
   const HistogramId h = reg.histogram("d", {1.0, 2.0});
-  MetricsShard& shard = reg.create_shard();
-  for (const double v : {50.0, 300.0, 7.5}) shard.observe(h, v);
+    for (const double v : {50.0, 300.0, 7.5}) reg.observe(h, v);
 
   const MetricsSnapshot::Histogram snap = reg.snapshot().histograms.at("d");
   EXPECT_EQ(snap.counts, (std::vector<long>{0, 0, 3}));
@@ -187,9 +197,8 @@ TEST(Metrics, AllOverflowDistributionReportsObservedMax) {
 TEST(Metrics, MixedDistributionOnlyTailQuantilesUseMax) {
   MetricsRegistry reg;
   const HistogramId h = reg.histogram("d", {1.0, 2.0});
-  MetricsShard& shard = reg.create_shard();
-  for (int i = 0; i < 9; ++i) shard.observe(h, 0.5);
-  shard.observe(h, 64.0);
+    for (int i = 0; i < 9; ++i) reg.observe(h, 0.5);
+  reg.observe(h, 64.0);
 
   const MetricsSnapshot::Histogram snap = reg.snapshot().histograms.at("d");
   // In-range quantiles still resolve to bucket edges...
@@ -200,15 +209,10 @@ TEST(Metrics, MixedDistributionOnlyTailQuantilesUseMax) {
   EXPECT_DOUBLE_EQ(snap.percentile(1.0), 64.0);
 }
 
-TEST(Metrics, HistogramMaxMergesAcrossShards) {
+TEST(Metrics, HistogramMaxIsLargestObservation) {
   MetricsRegistry reg;
   const HistogramId h = reg.histogram("d", {10.0});
-  MetricsShard& a = reg.create_shard();
-  MetricsShard& b = reg.create_shard();
-  MetricsShard& c = reg.create_shard();
-  a.observe(h, 11.0);
-  b.observe(h, 900.0);
-  c.observe(h, 3.0);
+  for (const double v : {11.0, 900.0, 3.0}) reg.observe(h, v);
   const MetricsSnapshot::Histogram snap = reg.snapshot().histograms.at("d");
   EXPECT_DOUBLE_EQ(snap.max, 900.0);
   EXPECT_DOUBLE_EQ(snap.percentile(1.0), 900.0);
@@ -217,7 +221,7 @@ TEST(Metrics, HistogramMaxMergesAcrossShards) {
 TEST(Metrics, EmptyHistogramMaxIsZero) {
   MetricsRegistry reg;
   (void)reg.histogram("d", {1.0});
-  // The internal CAS-max identity is -inf; the snapshot must not leak it.
+  // No observation, no max: the snapshot reports 0.
   EXPECT_DOUBLE_EQ(reg.snapshot().histograms.at("d").max, 0.0);
 }
 
@@ -231,8 +235,7 @@ TEST(Metrics, EmptyHistogramPercentileIsZero) {
 TEST(Metrics, JsonExportsPercentiles) {
   MetricsRegistry reg;
   const HistogramId h = reg.histogram("depth", {1.0, 2.0});
-  MetricsShard& shard = reg.create_shard();
-  for (int i = 0; i < 10; ++i) shard.observe(h, 0.5);
+    for (int i = 0; i < 10; ++i) reg.observe(h, 0.5);
   std::ostringstream os;
   reg.write_json(os);
   EXPECT_TRUE(testing::is_valid_json(os.str())) << os.str();
@@ -242,49 +245,14 @@ TEST(Metrics, JsonExportsPercentiles) {
   EXPECT_NE(os.str().find("\"max\": 0.5"), std::string::npos) << os.str();
 }
 
-// Regression for an order-dependence bug: merged gauge values used to be
-// summed in shard-creation order, so adversarial magnitudes (1e16 + 1.0
-// - 1e16 is 0.0 or 1.0 depending on association) made the merged value
-// depend on which worker registered its shard first.  The merge now sums
-// contributions in a canonical (bit-pattern) order: any permutation of the
-// same multiset must produce bit-identical merged gauges and histogram
-// sums.
-TEST(Metrics, GaugeMergeIsShardOrderIndependent) {
-  const std::vector<std::vector<double>> permutations = {
-      {1e16, 1.0, -1e16}, {-1e16, 1.0, 1e16}, {1.0, 1e16, -1e16},
-      {1e16, -1e16, 1.0}};
-  std::vector<double> merged;
-  for (const auto& order : permutations) {
-    MetricsRegistry reg;
-    const GaugeId g = reg.gauge("g");
-    const HistogramId h = reg.histogram("h", {1.0});
-    for (const double v : order) {
-      MetricsShard& shard = reg.create_shard();
-      shard.set(g, v);
-      shard.observe(h, v);
-    }
-    const MetricsSnapshot snap = reg.snapshot();
-    merged.push_back(snap.gauges.at("g"));
-    merged.push_back(snap.histograms.at("h").sum);
-  }
-  for (std::size_t i = 2; i < merged.size(); i += 2) {
-    EXPECT_EQ(merged[i], merged[0])
-        << "gauge merge depends on shard creation order";
-    EXPECT_EQ(merged[i + 1], merged[1])
-        << "histogram sum merge depends on shard creation order";
-  }
-}
-
 TEST(Metrics, JsonOutputIsValidAndDeterministic) {
   MetricsRegistry reg;
-  MetricsShard* shard = nullptr;
   const CounterId c = reg.counter("count.with \"quotes\"\n");
   const GaugeId g = reg.gauge("gauge");
   const HistogramId h = reg.histogram("hist", {1.0, 8.0});
-  shard = &reg.create_shard();
-  shard->add(c, 42);
-  shard->set(g, 0.125);
-  shard->observe(h, 3.0);
+  reg.add(c, 42);
+  reg.set(g, 0.125);
+  reg.observe(h, 3.0);
 
   std::ostringstream os1, os2;
   reg.write_json(os1);

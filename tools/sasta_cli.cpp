@@ -25,11 +25,17 @@
 //   --prune              N-worst branch-and-bound pruning (uses --paths)
 //   --report             report_timing-style worst path + endpoint slack
 //   --required NS        required time (ns) for the slack report
-//   --corners            fast/typ/slow multi-corner summary
+//   --corners            fast/typ/slow multi-corner summary: the run keeps
+//                        max(--paths, 32) worst paths and re-times them at
+//                        each corner (one search; the listing still shows
+//                        --paths)
 //   --fastest N          also report the N fastest (hold-side) true paths
 //   --erc                max-slew / max-cap electrical rule checks
 //   --write-verilog F    dump the mapped netlist to F
 //   --write-sdf F        SDF annotation (min:typ:max = vector spread)
+//                        An output file (this one, --write-verilog,
+//                        --metrics-json, --trace-out, --report-json) that
+//                        cannot be written is an error: exit 1.
 //   --metrics-json F     write run metrics (run counters, histograms,
 //                        phase timings) as JSON to F
 //   --trace-out F        write a Chrome trace-event / Perfetto JSON timeline
@@ -65,11 +71,15 @@
 //   --socket PATH        AF_UNIX socket path for --serve (required with
 //                        --serve; stale paths are replaced, the path is
 //                        unlinked on clean shutdown).  --metrics-json in
-//                        serve mode writes the server counters on exit;
-//                        the batch-only outputs (--report-json,
-//                        --trace-out, --selfcheck, --profile, --progress,
+//                        serve mode writes the server counters on exit.
+//                        The batch-only options (--paths, --fastest,
+//                        --required, --prune, --baseline, --golden,
+//                        --corners, --report, --erc, --write-sdf,
+//                        --write-verilog, --report-json, --trace-out,
+//                        --selfcheck, --profile, --progress,
 //                        --watchdog-seconds, --flight-dump) are usage
-//                        errors with --serve.
+//                        errors with --serve: requests carry their own
+//                        paths / fastest / required_ns.
 //   --selfcheck          end-of-run counter reconciliation: cross-check
 //                        the per-source and per-gate attribution rows and
 //                        the recorder activity slots against the aggregate
@@ -81,10 +91,13 @@
 //                        -q wins, --log-level wins over the implicit info)
 //   -v                   shorthand for --log-level debug
 //   -q                   quiet (suppress progress logging)
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <set>
 #include <utility>
 
 #include "baseline/baseline_tool.h"
@@ -175,8 +188,10 @@ struct Options {
 Options parse_args(int argc, char** argv) {
   Options o;
   sasta::sta::PathFinderOptions& f = o.tool.finder;
+  std::set<std::string> given;  ///< every argument on the command line
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    given.insert(a);
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
@@ -307,19 +322,16 @@ Options parse_args(int argc, char** argv) {
       std::cerr << "--serve requires --socket PATH\n";
       usage(argv[0]);
     }
-    // Outputs of the batch run, which the daemon never performs (each
-    // analyze response embeds its own run report).
-    const std::pair<bool, const char*> batch_only[] = {
-        {!o.report_json.empty(), "--report-json"},
-        {!o.trace_out.empty(), "--trace-out"},
-        {o.selfcheck, "--selfcheck"},
-        {o.profile, "--profile"},
-        {o.progress, "--progress"},
-        {o.watchdog_seconds >= 0, "--watchdog-seconds"},
-        {!o.flight_dump.empty(), "--flight-dump"},
-    };
-    for (const auto& [given, flag] : batch_only) {
-      if (given) {
+    // Options of the batch run, which the daemon never performs: each
+    // analyze request carries its own paths / fastest / required_ns and
+    // its response embeds its own run report.
+    const char* const batch_only[] = {
+        "--paths", "--fastest", "--required", "--prune", "--baseline",
+        "--golden", "--corners", "--report", "--erc", "--write-sdf",
+        "--write-verilog", "--report-json", "--trace-out", "--selfcheck",
+        "--profile", "--progress", "--watchdog-seconds", "--flight-dump"};
+    for (const char* flag : batch_only) {
+      if (given.count(flag) != 0) {
         std::cerr << flag << " applies to a batch run, not to --serve\n";
         usage(argv[0]);
       }
@@ -335,6 +347,18 @@ Options parse_args(int argc, char** argv) {
   return o;
 }
 
+/// Writes the output file `path` through `write` and reports it.  A file
+/// that cannot be opened or written is an error (exit 1), never a "wrote"
+/// line for a file that is not there.
+template <typename Write>
+void write_output(const std::string& path, Write&& write) {
+  std::ofstream os(path);
+  if (os) write(os);
+  os.close();
+  if (!os) throw sasta::util::Error("cannot write " + path);
+  std::cout << "wrote " << path << "\n";
+}
+
 /// RAII pipeline-phase scope: a cli/<name> trace span plus a
 /// cli.<name>_seconds gauge (both no-ops when the corresponding output was
 /// not requested).
@@ -344,8 +368,8 @@ struct Phase {
       : metrics(m), name(std::move(phase_name)), span(t, "cli/" + name, 0) {}
   ~Phase() {
     if (metrics == nullptr) return;
-    const sasta::util::GaugeId id = metrics->gauge("cli." + name + "_seconds");
-    metrics->create_shard().set(id, watch.elapsed_seconds());
+    metrics->set(metrics->gauge("cli." + name + "_seconds"),
+                 watch.elapsed_seconds());
   }
   Phase(const Phase&) = delete;
   Phase& operator=(const Phase&) = delete;
@@ -439,9 +463,8 @@ int main(int argc, char** argv) {
               << nl.primary_outputs().size() << " POs\n";
 
     if (!opt.write_verilog.empty()) {
-      std::ofstream os(opt.write_verilog);
-      netlist::write_verilog(nl, os);
-      std::cout << "wrote " << opt.write_verilog << "\n";
+      write_output(opt.write_verilog,
+                   [&](std::ostream& os) { netlist::write_verilog(nl, os); });
     }
 
     // --- Characterized library ---------------------------------------------
@@ -458,6 +481,9 @@ int main(int argc, char** argv) {
     // --- Developed tool -----------------------------------------------------
     sta::StaToolOptions sopt = opt.tool;
     if (opt.prune) sopt.finder.n_worst = sopt.keep_worst;
+    // --corners re-times the worst paths of this one search at each corner;
+    // the critical path can differ between corners, so keep at least 32.
+    if (opt.corners) sopt.keep_worst = std::max(sopt.keep_worst, 32L);
     sopt.finder.metrics = metrics;
     sopt.finder.trace = trace;
     sta::SearchAttribution attribution;
@@ -498,7 +524,15 @@ int main(int argc, char** argv) {
     util::install_interrupt_handler();
 
     sta::StaTool tool(nl, cl, tech, sopt);
-    const sta::StaResult res = tool.run();
+    sta::StaResult res = tool.run();
+    std::optional<sta::MultiCornerResult> corners;
+    if (opt.corners) {
+      corners = sta::analyze_corners(nl, cl, tech, sta::default_corners(tech),
+                                     res.paths, sopt.delay);
+      if (res.paths.size() > static_cast<std::size_t>(opt.tool.keep_worst)) {
+        res.paths.resize(opt.tool.keep_worst);
+      }
+    }
 
     std::cout << "\n[saSTA] " << res.stats.paths_recorded
               << " true (path, vector, direction) sensitizations in "
@@ -557,26 +591,17 @@ int main(int argc, char** argv) {
     }
 
     if (!opt.write_sdf.empty()) {
-      std::ofstream os(opt.write_sdf);
       sta::SdfOptions sdf_opt;
       sdf_opt.temperature_c = sopt.delay.temperature_c;
       sdf_opt.vdd = sopt.delay.vdd;
-      sta::write_sdf(nl, cl, tech, os, sdf_opt);
-      std::cout << "wrote " << opt.write_sdf << "\n";
+      write_output(opt.write_sdf, [&](std::ostream& os) {
+        sta::write_sdf(nl, cl, tech, os, sdf_opt);
+      });
     }
 
-    if (opt.corners) {
-      // The corner pass searches again; keep it out of the sinks, which
-      // describe the run above and are reconciled against its stats.
-      sta::StaToolOptions corner_opt = sopt;
-      corner_opt.finder.metrics = nullptr;
-      corner_opt.finder.trace = nullptr;
-      corner_opt.finder.attribution = nullptr;
-      corner_opt.finder.flight = nullptr;
-      const auto mc = sta::analyze_corners(
-          nl, cl, tech, sta::default_corners(tech), corner_opt);
+    if (corners) {
       std::cout << "\ncorner    temp(C)  vdd(V)   critical(ps)\n";
-      for (const auto& c : mc.corners) {
+      for (const auto& c : corners->corners) {
         std::cout << (c.corner.name + "        ").substr(0, 8) << "  "
                   << util::format_fixed(c.corner.temp_c, 0) << "\t   "
                   << util::format_fixed(
@@ -584,7 +609,7 @@ int main(int argc, char** argv) {
                   << "     " << util::format_fixed(c.critical_delay * 1e12, 1)
                   << "\n";
       }
-      std::cout << "worst corner: " << mc.worst().corner.name << "\n";
+      std::cout << "worst corner: " << corners->worst().corner.name << "\n";
       if (!opt.full_char) {
         std::cout << "(note: the fast characterization profile has no T/VDD "
                      "sweep; use --full-char for real corner coefficients)\n";
@@ -616,14 +641,12 @@ int main(int argc, char** argv) {
     }
 
     if (!opt.metrics_json.empty()) {
-      std::ofstream os(opt.metrics_json);
-      metrics->write_json(os);
-      std::cout << "wrote " << opt.metrics_json << "\n";
+      write_output(opt.metrics_json,
+                   [&](std::ostream& os) { metrics->write_json(os); });
     }
     if (!opt.trace_out.empty()) {
-      std::ofstream os(opt.trace_out);
-      trace->write_json(os);
-      std::cout << "wrote " << opt.trace_out << "\n";
+      write_output(opt.trace_out,
+                   [&](std::ostream& os) { trace->write_json(os); });
     }
     if (!opt.report_json.empty() || opt.selfcheck) {
       // Snapshot last so the report's metrics section carries every phase
@@ -639,9 +662,9 @@ int main(int argc, char** argv) {
       report_in.attribution = sopt.finder.attribution;
       report_in.flight = flight;
       if (!opt.report_json.empty()) {
-        std::ofstream os(opt.report_json);
-        sta::write_run_report(report_in, os);
-        std::cout << "wrote " << opt.report_json << "\n";
+        write_output(opt.report_json, [&](std::ostream& os) {
+          sta::write_run_report(report_in, os);
+        });
       }
       if (opt.selfcheck) {
         const std::vector<std::string> violations =
