@@ -1,9 +1,15 @@
 #include "charlib/serialize.h"
 
+#include <unistd.h>
+
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "util/check.h"
 #include "util/log.h"
@@ -25,37 +31,87 @@ void write_polyfit(std::ostream& os, const num::PolyFit& fit) {
   os << " " << fit.max_rel_error << " " << fit.mean_rel_error;
 }
 
-num::PolyFit read_polyfit(std::istream& is) {
-  int num_vars = 0;
-  std::size_t num_terms = 0;
-  is >> num_vars >> num_terms;
-  SASTA_CHECK(is.good() && num_vars >= 1 && num_vars <= num::kMaxPolyVars)
+// Whitespace-delimited tokens read straight from a stream buffer, with no
+// per-token istream sentry or locale lookup.  Numbers go through
+// std::from_chars (locale-independent, correctly rounded) and are strict: the
+// whole token must be one in-range value, and a double must be finite.  Any
+// miss throws util::Error carrying the diagnostic of the field being read.
+class TokenReader {
+ public:
+  explicit TokenReader(std::streambuf& buf) : buf_(buf) {}
+
+  /// The next token, or "" at end of input; valid until the next call.
+  const std::string& word() {
+    word_.clear();
+    for (int c = skip_space(); c != kEof && !is_space(c); c = buf_.snextc()) {
+      word_.push_back(static_cast<char>(c));
+    }
+    return word_;
+  }
+
+  void keyword(std::string_view expected, std::string_view what) {
+    SASTA_CHECK(word() == expected) << " " << what;
+  }
+
+  template <typename T>
+  T number(std::string_view what) {
+    // %.17g needs at most 24 characters; anything longer is not a number.
+    char tok[32];
+    std::size_t n = 0;
+    for (int c = skip_space(); c != kEof && !is_space(c); c = buf_.snextc()) {
+      SASTA_CHECK(n < sizeof(tok)) << " " << what << ": overlong number";
+      tok[n++] = static_cast<char>(c);
+    }
+    T value{};
+    const auto [end, ec] = std::from_chars(tok, tok + n, value);
+    bool ok = ec == std::errc() && end == tok + n;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    SASTA_CHECK(ok) << " " << what << ": bad number '"
+                    << std::string_view(tok, n) << "'";
+    return value;
+  }
+
+ private:
+  static constexpr int kEof = std::char_traits<char>::eof();
+
+  static bool is_space(int c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+  int skip_space() {
+    int c = buf_.sgetc();
+    while (c != kEof && is_space(c)) c = buf_.snextc();
+    return c;
+  }
+
+  std::streambuf& buf_;
+  std::string word_;
+};
+
+num::PolyFit read_polyfit(TokenReader& in) {
+  const int num_vars = in.number<int>("bad polyfit header");
+  const auto num_terms = in.number<std::size_t>("bad polyfit header");
+  // Exponents are below 16, so a basis holds at most 16^num_vars monomials.
+  SASTA_CHECK(num_vars >= 1 && num_vars <= num::kMaxPolyVars &&
+              num_terms <= std::size_t{1} << (4 * num_vars))
       << " bad polyfit header";
-  // Rebuild the basis by reading the explicit exponent list: fabricate a
-  // PolyBasis via tensor enumeration is not possible (the recursive fit may
-  // have produced a non-tensor set), so we re-create it through a maximal
-  // tensor basis filtered to the stored monomials.  Simpler: store exponents
-  // and reconstruct coefficients aligned to a fresh tensor basis covering
-  // exactly those monomials.
+  // The stored monomials may be any subset of a tensor basis (the recursive
+  // fit can drop terms), so rebuild the covering tensor basis and place each
+  // stored coefficient on its monomial, leaving the rest zero.
   std::vector<num::Monomial> monomials(num_terms);
   std::array<int, num::kMaxPolyVars> max_exp{};
   for (auto& m : monomials) {
     for (int v = 0; v < num_vars; ++v) {
-      int e = 0;
-      is >> e;
-      SASTA_CHECK(is.good() && e >= 0 && e < 16) << " bad exponent";
+      const int e = in.number<int>("bad exponent");
+      SASTA_CHECK(e >= 0 && e < 16) << " bad exponent";
       m.exp[v] = static_cast<std::uint8_t>(e);
       max_exp[v] = std::max(max_exp[v], e);
     }
   }
   std::vector<double> coeff(num_terms);
-  for (double& c : coeff) is >> c;
+  for (double& c : coeff) c = in.number<double>("truncated polyfit");
   num::PolyFit fit;
-  is >> fit.max_rel_error >> fit.mean_rel_error;
-  SASTA_CHECK(is.good()) << " truncated polyfit";
+  fit.max_rel_error = in.number<double>("truncated polyfit");
+  fit.mean_rel_error = in.number<double>("truncated polyfit");
 
-  // Reconstruct: build the covering tensor basis, then place coefficients
-  // (zero for uncovered monomials).
   std::vector<int> orders(num_vars);
   for (int v = 0; v < num_vars; ++v) orders[v] = max_exp[v];
   fit.basis = num::PolyBasis::tensor(orders);
@@ -91,23 +147,22 @@ void write_lut(std::ostream& os, const LutModel& lut) {
   }
 }
 
-LutModel read_lut(std::istream& is) {
-  std::size_t ns = 0, nf = 0;
-  int inverting = 0;
-  is >> ns >> nf >> inverting;
-  SASTA_CHECK(is.good() && ns >= 1 && nf >= 1 && ns < 100 && nf < 100)
-      << " bad LUT header";
+LutModel read_lut(TokenReader& in) {
+  const auto ns = in.number<std::size_t>("bad LUT header");
+  const auto nf = in.number<std::size_t>("bad LUT header");
+  const int inverting = in.number<int>("bad LUT header");
+  SASTA_CHECK(ns >= 1 && nf >= 1 && ns < 100 && nf < 100) << " bad LUT header";
   std::vector<double> slew_axis(ns), fo_axis(nf);
-  for (double& s : slew_axis) is >> s;
-  for (double& f : fo_axis) is >> f;
+  for (double& s : slew_axis) s = in.number<double>("truncated LUT");
+  for (double& f : fo_axis) f = in.number<double>("truncated LUT");
   num::Matrix delay(ns, nf), slew(ns, nf);
-  for (std::size_t i = 0; i < ns; ++i) {
-    for (std::size_t j = 0; j < nf; ++j) is >> delay(i, j);
+  for (num::Matrix* table : {&delay, &slew}) {
+    for (std::size_t i = 0; i < ns; ++i) {
+      for (std::size_t j = 0; j < nf; ++j) {
+        (*table)(i, j) = in.number<double>("truncated LUT");
+      }
+    }
   }
-  for (std::size_t i = 0; i < ns; ++i) {
-    for (std::size_t j = 0; j < nf; ++j) is >> slew(i, j);
-  }
-  SASTA_CHECK(is.good()) << " truncated LUT";
   return LutModel(std::move(slew_axis), std::move(fo_axis), std::move(delay),
                   std::move(slew), inverting != 0);
 }
@@ -149,75 +204,90 @@ void save_charlibrary(const CharLibrary& lib, std::ostream& os) {
 }
 
 void save_charlibrary_file(const CharLibrary& lib, const std::string& path) {
-  std::ofstream os(path);
-  SASTA_CHECK(os.good()) << " cannot open " << path << " for writing";
+  // Write a private temporary beside `path` and rename it into place, so a
+  // concurrent reader (another test binary or daemon sharing the cache
+  // directory) sees either no file or a complete one.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  std::ofstream os(tmp);
+  SASTA_CHECK(os.good()) << " cannot open " << tmp << " for writing";
   save_charlibrary(lib, os);
-  SASTA_CHECK(os.good()) << " write failure on " << path;
+  os.close();
+  std::error_code ec;
+  if (os.good()) std::filesystem::rename(tmp, path, ec);
+  if (!os.good() || ec) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+  }
+  SASTA_CHECK(os.good()) << " write failure on " << tmp;
+  SASTA_CHECK(!ec) << " cannot rename " << tmp << " to " << path << ": "
+                   << ec.message();
 }
 
 CharLibrary load_charlibrary(std::istream& is) {
-  std::string tag;
-  is >> tag;
+  TokenReader in(*is.rdbuf());
+  const std::string tag = in.word();
   SASTA_CHECK(tag == kFormatTag)
       << " format mismatch: got '" << tag << "' want '" << kFormatTag << "'";
-  std::string kw, tech_name, profile;
-  is >> kw >> tech_name;
-  SASTA_CHECK(kw == "tech") << " expected 'tech'";
-  is >> kw >> profile;
-  SASTA_CHECK(kw == "profile") << " expected 'profile'";
-  std::size_t num_cells = 0;
-  is >> kw >> num_cells;
-  SASTA_CHECK(kw == "cells" && num_cells < 10000) << " bad cell count";
+  in.keyword("tech", "expected 'tech'");
+  const std::string tech_name = in.word();
+  in.keyword("profile", "expected 'profile'");
+  const std::string profile = in.word();
+  in.keyword("cells", "bad cell count");
+  const auto num_cells = in.number<std::size_t>("bad cell count");
+  SASTA_CHECK(num_cells < 10000) << " bad cell count";
 
   CharLibrary lib(tech_name, profile);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
     CellTiming t;
-    std::size_t num_pins = 0;
-    is >> kw >> t.cell_name >> num_pins >> t.avg_input_cap;
-    SASTA_CHECK(kw == "cell" && num_pins >= 1 && num_pins <= 6)
-        << " bad cell record";
+    in.keyword("cell", "bad cell record");
+    t.cell_name = in.word();
+    const auto num_pins = in.number<std::size_t>("bad cell record");
+    t.avg_input_cap = in.number<double>("bad cell record");
+    SASTA_CHECK(num_pins >= 1 && num_pins <= 6) << " bad cell record";
     t.pin_caps.resize(num_pins);
-    for (double& pc : t.pin_caps) is >> pc;
+    for (double& pc : t.pin_caps) pc = in.number<double>("bad cell record");
     t.vectors.resize(num_pins);
     t.poly_arcs.resize(num_pins);
     t.lut_arcs.resize(num_pins);
     for (std::size_t p = 0; p < num_pins; ++p) {
-      std::size_t pin_index = 0, num_vecs = 0;
-      is >> kw >> pin_index >> num_vecs;
-      SASTA_CHECK(kw == "pin" && pin_index == p && num_vecs >= 1)
-          << " bad pin record in " << t.cell_name;
+      const std::string bad_pin = "bad pin record in " + t.cell_name;
+      in.keyword("pin", bad_pin);
+      const auto pin_index = in.number<std::size_t>(bad_pin);
+      const auto num_vecs = in.number<std::size_t>(bad_pin);
+      SASTA_CHECK(pin_index == p && num_vecs >= 1) << " " << bad_pin;
       for (std::size_t vi = 0; vi < num_vecs; ++vi) {
         SensitizationVector v;
-        int inv = 0;
-        is >> kw >> v.id >> v.side.care >> v.side.values >> inv;
-        SASTA_CHECK(kw == "vec" && v.id == static_cast<int>(vi))
-            << " bad vector record";
+        in.keyword("vec", "bad vector record");
+        v.id = in.number<int>("bad vector record");
+        v.side.care = in.number<std::uint32_t>("bad vector record");
+        v.side.values = in.number<std::uint32_t>("bad vector record");
+        const int inv = in.number<int>("bad vector record");
+        SASTA_CHECK(v.id == static_cast<int>(vi)) << " bad vector record";
         v.pin = static_cast<int>(p);
         v.inverting = inv != 0;
         t.vectors[p].push_back(v);
         std::array<ArcModel, 2> arcs;
         for (int e = 0; e < 2; ++e) {
-          int edge_index = 0, arc_inv = 0;
-          is >> kw >> edge_index >> arc_inv;
-          SASTA_CHECK(kw == "arc" && edge_index == e) << " bad arc record";
-          num::PolyFit delay_fit = read_polyfit(is);
-          num::PolyFit slew_fit = read_polyfit(is);
+          in.keyword("arc", "bad arc record");
+          const int edge_index = in.number<int>("bad arc record");
+          const int arc_inv = in.number<int>("bad arc record");
+          SASTA_CHECK(edge_index == e) << " bad arc record";
+          num::PolyFit delay_fit = read_polyfit(in);
+          num::PolyFit slew_fit = read_polyfit(in);
           arcs[e] = ArcModel(std::move(delay_fit), std::move(slew_fit),
                              arc_inv != 0);
         }
         t.poly_arcs[p].push_back(std::move(arcs));
       }
       for (int e = 0; e < 2; ++e) {
-        int edge_index = 0;
-        is >> kw >> edge_index;
-        SASTA_CHECK(kw == "lut" && edge_index == e) << " bad lut record";
-        t.lut_arcs[p][e] = read_lut(is);
+        in.keyword("lut", "bad lut record");
+        SASTA_CHECK(in.number<int>("bad lut record") == e) << " bad lut record";
+        t.lut_arcs[p][e] = read_lut(in);
       }
     }
     lib.add(std::move(t));
   }
-  is >> kw;
-  SASTA_CHECK(kw == "end") << " missing end marker";
+  in.keyword("end", "missing end marker");
   return lib;
 }
 

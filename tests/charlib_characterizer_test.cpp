@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
+#include <vector>
 
 #include "cell/library_builder.h"
 #include "charlib/characterizer.h"
@@ -111,6 +114,7 @@ TEST(Serialize, RoundTripPreservesModels) {
   const CharLibrary& original = fast_charlib();
   std::stringstream ss;
   save_charlibrary(original, ss);
+  const std::string saved = ss.str();
   const CharLibrary loaded = load_charlibrary(ss);
   EXPECT_EQ(loaded.tech_name(), original.tech_name());
   EXPECT_EQ(loaded.profile(), original.profile());
@@ -128,6 +132,22 @@ TEST(Serialize, RoundTripPreservesModels) {
   }
   EXPECT_NEAR(a.lut(0, Edge::kFall).delay(60e-12, 2.0),
               b.lut(0, Edge::kFall).delay(60e-12, 2.0), 1e-18);
+
+  // Every number survives the text exactly: re-saving what either entry
+  // point loaded reproduces the original bytes.
+  std::ostringstream resaved;
+  save_charlibrary(loaded, resaved);
+  EXPECT_EQ(resaved.str(), saved);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("sasta_roundtrip_" + std::to_string(::getpid()) + ".txt"))
+          .string();
+  save_charlibrary_file(original, path);
+  const CharLibrary from_file = load_charlibrary_file(path);
+  std::filesystem::remove(path);
+  std::ostringstream resaved_file;
+  save_charlibrary(from_file, resaved_file);
+  EXPECT_EQ(resaved_file.str(), saved);
 }
 
 TEST(Serialize, RejectsCorruptHeader) {
@@ -148,6 +168,14 @@ TEST(Serialize, CacheRoundTrip) {
   const auto& t = tech::technology("90nm");
   const CharLibrary first =
       load_or_characterize(small, t, fast_options(), dir);
+  // The write is atomic: exactly the cache file, no temporary left behind.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  const std::filesystem::path cache_file = files[0];
+  EXPECT_EQ(cache_file.extension(), ".txt");
   // Second call must hit the cache (same content).
   const CharLibrary second =
       load_or_characterize(small, t, fast_options(), dir);
@@ -157,6 +185,21 @@ TEST(Serialize, CacheRoundTrip) {
               first.timing("INV").arc(0, 0, Edge::kRise)
                   .delay({2.0, 50e-12, 25.0, 1.0}),
               1e-18);
+
+  // A truncated cache file is reported and replaced by a fresh
+  // characterization, which loads again.
+  std::filesystem::resize_file(cache_file,
+                               std::filesystem::file_size(cache_file) / 2);
+  ::testing::internal::CaptureStderr();
+  const CharLibrary third =
+      load_or_characterize(small, t, fast_options(), dir);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("cache read failed"), std::string::npos) << log;
+  EXPECT_EQ(third.all().size(), first.all().size());
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+  EXPECT_NO_THROW(load_charlibrary_file(cache_file.string()));
   std::filesystem::remove_all(dir);
 }
 
