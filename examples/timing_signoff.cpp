@@ -9,8 +9,6 @@
 
 #include "cell/library_builder.h"
 #include "charlib/serialize.h"
-#include "netlist/bench_parser.h"
-#include "netlist/iscas_gen.h"
 #include "netlist/techmap.h"
 #include "sta/corners.h"
 #include "sta/report.h"
@@ -26,12 +24,8 @@ int main(int argc, char** argv) {
 
   const cell::Library lib = cell::build_standard_library();
   const auto& tech = tech::technology("90nm");
-  netlist::PrimNetlist prim =
-      circuit == "c17"
-          ? netlist::parse_bench_string(netlist::c17_bench_text(), "c17")
-          : netlist::generate_iscas_like(netlist::iscas_profile(circuit));
-  const auto mapped = netlist::tech_map(prim, lib);
-  const netlist::Netlist& nl = mapped.netlist;
+  const netlist::ResolvedDesign design = netlist::resolve_design(circuit, lib);
+  const netlist::Netlist& nl = design.netlist;
 
   charlib::CharacterizeOptions copt;
   copt.profile = charlib::CharacterizeOptions::Profile::kFast;

@@ -1,7 +1,11 @@
 #include "netlist/techmap.h"
 
 #include <algorithm>
+#include <filesystem>
 
+#include "netlist/bench_parser.h"
+#include "netlist/iscas_gen.h"
+#include "netlist/verilog.h"
 #include "util/check.h"
 
 namespace sasta::netlist {
@@ -336,6 +340,27 @@ TechMapResult tech_map(const PrimNetlist& prim, const cell::Library& lib,
 
   TechMapResult result{std::move(mapper.out), std::move(mapper.histogram)};
   return result;
+}
+
+ResolvedDesign resolve_design(const std::string& name,
+                              const cell::Library& lib) {
+  ResolvedDesign d;
+  const bool exists = std::filesystem::exists(name);
+  if (exists && (name.ends_with(".v") || name.ends_with(".verilog"))) {
+    d.netlist = parse_verilog_file(name, lib);
+    return d;
+  }
+  PrimNetlist prim;
+  if (name == "c17") {
+    prim = parse_bench_string(c17_bench_text(), "c17");
+  } else if (exists) {
+    prim = parse_bench_file(name);
+  } else {
+    prim = generate_iscas_like(iscas_profile(name));
+    d.synthetic = true;
+  }
+  d.netlist = tech_map(prim, lib).netlist;
+  return d;
 }
 
 }  // namespace sasta::netlist

@@ -38,4 +38,14 @@ struct TechMapResult {
 TechMapResult tech_map(const PrimNetlist& prim, const cell::Library& lib,
                        const TechMapOptions& options = {});
 
+struct ResolvedDesign {
+  Netlist netlist;
+  bool synthetic = false;  ///< generated from a built-in ISCAS-like profile
+};
+/// The CLI's and the daemon's design names: "c17", an existing .v/.verilog
+/// file (already mapped), an existing .bench file, or an ISCAS profile name
+/// (c432, ...), tech_map'ed onto `lib`.  Throws util::Error otherwise.
+ResolvedDesign resolve_design(const std::string& name,
+                              const cell::Library& lib);
+
 }  // namespace sasta::netlist

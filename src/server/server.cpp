@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -19,9 +18,7 @@
 #include "charlib/characterizer.h"
 #include "charlib/serialize.h"
 #include "netlist/bench_parser.h"
-#include "netlist/iscas_gen.h"
 #include "netlist/techmap.h"
-#include "netlist/verilog.h"
 #include "server/protocol.h"
 #include "tech/technology.h"
 #include "util/check.h"
@@ -347,19 +344,8 @@ util::JsonValue Server::handle_load(const util::JsonValue& p) {
   } else if (name.empty()) {
     throw SessionError{kErrBadParams,
                        "load requires \"netlist\" or \"bench_text\""};
-  } else if (std::filesystem::exists(name) &&
-             (name.ends_with(".v") || name.ends_with(".verilog"))) {
-    mapped = netlist::parse_verilog_file(name, library_);
   } else {
-    netlist::PrimNetlist prim;
-    if (name == "c17") {
-      prim = netlist::parse_bench_string(netlist::c17_bench_text(), "c17");
-    } else if (std::filesystem::exists(name)) {
-      prim = netlist::parse_bench_file(name);
-    } else {
-      prim = netlist::generate_iscas_like(netlist::iscas_profile(name));
-    }
-    mapped = netlist::tech_map(prim, library_).netlist;
+    mapped = netlist::resolve_design(name, library_).netlist;
   }
 
   // Warm characterized-library cache: the expensive artifact every batch

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <limits>
-#include <sstream>
 #include <unordered_map>
 
 #include "util/check.h"
-#include "util/log.h"
-#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace sasta::sta {
@@ -97,6 +93,14 @@ PathFinder::PathFinder(const SearchContext& ctx,
                        const PathFinderOptions& options)
     : ctx_(ctx), nl_(ctx.netlist()), charlib_(charlib), opt_(options) {}
 
+namespace {
+
+/// Widens the heuristic remaining-delay bound remaining_ub_ (built from
+/// pessimistic-slew arc maxima).
+constexpr double kBoundSafety = 1.2;
+
+}  // namespace
+
 void PathFinder::enable_n_worst_pruning(const DelayCalculator& calc) {
   prune_calc_ = &calc;
   SASTA_CHECK(opt_.n_worst > 0)
@@ -104,7 +108,7 @@ void PathFinder::enable_n_worst_pruning(const DelayCalculator& calc) {
 
   // Upper bound on the remaining delay from each net to any primary output:
   // reverse-topological max over fanout arcs evaluated at a pessimistic
-  // input slew (the bound is heuristic; bound_safety widens it).
+  // input slew (the bound is heuristic; kBoundSafety widens it).
   const double slew_ub = 8.0 * calc.options().input_slew_s;
   remaining_ub_.assign(nl_.num_nets(), -1.0);
   for (netlist::NetId po : nl_.primary_outputs()) remaining_ub_[po] = 0.0;
@@ -134,7 +138,7 @@ void PathFinder::enable_n_worst_pruning(const DelayCalculator& calc) {
     }
   }
   for (double& ub : remaining_ub_) {
-    if (ub > 0.0) ub *= opt_.bound_safety;
+    if (ub > 0.0) ub *= kBoundSafety;
   }
 }
 
@@ -263,12 +267,7 @@ void PathFinder::record(Worker& w, netlist::NetId sink_net, unsigned alive) {
 
 void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
   if (stop_.load(std::memory_order_relaxed)) return;
-  if (w.stats.vector_trials % 64 == 0) {
-    if (deadline_hit(w)) return;
-    // Piggyback on the amortized poll so the heartbeat stays live even
-    // while one skewed source dominates the run.
-    maybe_heartbeat();
-  }
+  if (w.stats.vector_trials % 64 == 0 && deadline_hit(w)) return;
 
   if (nl_.net(net).is_primary_output) record(w, net, alive);
 
@@ -410,80 +409,6 @@ void PathFinder::extend(Worker& w, netlist::NetId net, unsigned alive) {
   }
 }
 
-void PathFinder::prepare_observability(std::size_t n_sources,
-                                       unsigned n_workers) {
-  total_sources_ = n_sources;
-  sources_done_.store(0, std::memory_order_relaxed);
-  trials_flushed_.store(0, std::memory_order_relaxed);
-  next_heartbeat_ms_.store(
-      opt_.progress_interval_seconds > 0
-          ? static_cast<long>(opt_.progress_interval_seconds * 1000.0)
-          : std::numeric_limits<long>::max(),
-      std::memory_order_relaxed);
-  hb_lanes_ = 0;
-  hb_prev_ms_.store(0, std::memory_order_relaxed);
-  if (opt_.flight != nullptr) {
-    hb_lanes_ = std::min(opt_.flight->num_lanes(), n_workers);
-    hb_lane_trials_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(hb_lanes_);
-    for (unsigned i = 0; i < hb_lanes_; ++i) {
-      hb_lane_trials_[i].store(0, std::memory_order_relaxed);
-    }
-  }
-  // Registered once here so the workers observe through a resolved id.
-  if (opt_.metrics != nullptr) {
-    justify_depth_hist_ = opt_.metrics->histogram(
-        "pathfinder.justify_depth", {1, 2, 4, 8, 16, 32, 64, 128});
-  }
-}
-
-void PathFinder::maybe_heartbeat() {
-  if (opt_.progress_interval_seconds <= 0) return;
-  const double elapsed = run_watch_.elapsed_seconds();
-  long due_ms = next_heartbeat_ms_.load(std::memory_order_relaxed);
-  if (elapsed * 1000.0 < static_cast<double>(due_ms)) return;
-  const long next_ms =
-      static_cast<long>((elapsed + opt_.progress_interval_seconds) * 1000.0);
-  if (!next_heartbeat_ms_.compare_exchange_strong(
-          due_ms, next_ms, std::memory_order_relaxed)) {
-    return;  // another worker claimed this heartbeat slot
-  }
-  const long done = sources_done_.load(std::memory_order_relaxed);
-  const long trials = trials_flushed_.load(std::memory_order_relaxed);
-  std::ostringstream msg;
-  msg << "progress: " << done << "/" << total_sources_ << " sources, "
-      << trials << " vector trials ("
-      << static_cast<long>(elapsed > 0 ? trials / elapsed : 0.0) << "/s), "
-      << util::format_fixed(elapsed, 1) << " s elapsed";
-  // Recorder-backed enrichment: one segment per worker naming its current
-  // source PI plus its trial rate since the previous heartbeat.  Only the
-  // CAS winner runs this block, so the prev-trials slots are raced only
-  // across heartbeats (hence atomics), never within one.
-  if (hb_lanes_ > 0 && opt_.flight != nullptr) {
-    const long now_ms = static_cast<long>(elapsed * 1000.0);
-    const long prev_ms = hb_prev_ms_.exchange(now_ms,
-                                              std::memory_order_relaxed);
-    const double span_s = std::max(0.001, (now_ms - prev_ms) / 1000.0);
-    for (unsigned i = 0; i < hb_lanes_; ++i) {
-      const util::FlightLane::Activity act = opt_.flight->lane(i).activity();
-      const std::uint64_t prev =
-          hb_lane_trials_[i].exchange(act.trials, std::memory_order_relaxed);
-      msg << " | w" << i << " ";
-      if (act.source == util::kFlightIdle) {
-        msg << "idle";
-      } else {
-        msg << nl_.net(static_cast<netlist::NetId>(act.source)).name << " d"
-            << act.depth;
-      }
-      msg << " "
-          << static_cast<long>(
-                 static_cast<double>(act.trials - prev) / span_s)
-          << "/s";
-    }
-  }
-  util::log_line(util::LogLevel::kInfo, msg.str());
-}
-
 void PathFinder::run_source(Worker& w, std::size_t source_index,
                             netlist::NetId source) {
   const SearchCounters before = w.stats;
@@ -523,9 +448,6 @@ void PathFinder::run_source(Worker& w, std::size_t source_index,
     w.rec->note_source_done();
     w.rec->set_idle();
   }
-  sources_done_.fetch_add(1, std::memory_order_relaxed);
-  trials_flushed_.fetch_add(delta.vector_trials, std::memory_order_relaxed);
-  maybe_heartbeat();
 }
 
 void PathFinder::search_source(Worker& w, netlist::NetId source) {
@@ -617,7 +539,12 @@ PathFinderStats PathFinder::run(
   const unsigned n_workers = std::max<unsigned>(
       1, std::min<std::size_t>(util::ThreadPool::resolve(opt_.num_threads),
                                sources.size()));
-  prepare_observability(sources.size(), n_workers);
+  // Registered once here so the workers observe through a resolved id.
+  if (opt_.metrics != nullptr) {
+    justify_depth_hist_ = opt_.metrics->histogram(
+        "pathfinder.justify_depth", {1, 2, 4, 8, 16, 32, 64, 128});
+  }
+  if (opt_.flight != nullptr) opt_.flight->begin_run(sources.size());
   if (opt_.trace != nullptr) {
     // Label the lanes for Perfetto: 0 = orchestrator, 1..N = workers
     // (worker 0 runs on the calling thread, the rest on helper threads).
@@ -628,27 +555,6 @@ PathFinderStats PathFinder::run(
     }
   }
   util::TraceSpan run_span(opt_.trace, "pathfinder/run", 0);
-
-  // Stall watchdog: armed for the duration of this run() only (the thread
-  // borrows nl_ for name resolution).  Destroyed — stopped and joined —
-  // before run() returns.
-  std::unique_ptr<util::StallWatchdog> watchdog;
-  if (opt_.flight != nullptr && opt_.watchdog_seconds > 0) {
-    util::StallWatchdog::Hooks hooks;
-    hooks.net_name = [this](std::uint32_t id) {
-      const auto nid = static_cast<netlist::NetId>(id);
-      return nid >= 0 && nid < nl_.num_nets() ? nl_.net(nid).name
-                                              : std::to_string(id);
-    };
-    hooks.inst_name = [this](std::uint32_t id) {
-      const auto iid = static_cast<netlist::InstId>(id);
-      return iid >= 0 && iid < nl_.num_instances() ? nl_.instance(iid).name
-                                                   : std::to_string(id);
-    };
-    hooks.dump_path = opt_.watchdog_dump_path;
-    watchdog = std::make_unique<util::StallWatchdog>(
-        *opt_.flight, opt_.watchdog_seconds, std::move(hooks));
-  }
 
   // Search-cost attribution: the per-source rows are pre-sized so workers
   // can write them index-addressed without coordination; the per-gate

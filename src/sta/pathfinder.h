@@ -104,10 +104,6 @@ struct PathFinderOptions {
   /// enable_n_worst_pruning() with a delay calculator.
   long n_worst = -1;
 
-  /// Safety factor on the remaining-delay upper bound (the bound is built
-  /// from pessimistic-slew arc maxima, which is heuristic; > 1 widens it).
-  double bound_safety = 1.2;
-
   /// Disable the SCOAP-guided cube ordering (ablation knob; the search
   /// stays complete either way).
   bool use_scoap_guide = true;
@@ -141,28 +137,19 @@ struct PathFinderOptions {
   /// Chrome trace-event spans: the preparation phase, the run, and one span
   /// per source-PI search on lane `tid = worker + 1`.
   util::TraceCollector* trace = nullptr;
-  /// Heartbeat period in seconds for INFO-level progress lines from the
-  /// source-dispatch loop (sources done / total, vector trials and
-  /// trials/sec, elapsed wall clock).  <= 0: off.
-  double progress_interval_seconds = -1;
   /// Search-cost attribution sink: when non-null, run() fills it with
   /// per-source and per-gate cost tables (see SearchAttribution).  Borrowed; overwritten on every run().
   SearchAttribution* attribution = nullptr;
 
-  /// Flight recorder (borrowed; null = off): each worker writes search
-  /// milestones into lane `tid` of this recorder and keeps its activity
-  /// slot current.  Like every observability sink, the recorder is
-  /// write-only for the search — nothing recorded ever feeds back into a
-  /// search decision, so paths and report bytes are bit-identical with the
-  /// recorder on or off at every thread count.
+  /// Flight recorder (borrowed; null = off): run() announces its source
+  /// count with begin_run(), and each worker writes search milestones into
+  /// lane `tid` and keeps its activity slot current.  Live views of the
+  /// run (util::RunMonitor) read the lanes from outside the search.  Like
+  /// every observability sink, the recorder is write-only for the search —
+  /// nothing recorded ever feeds back into a search decision, so paths and
+  /// report bytes are bit-identical with the recorder on or off at every
+  /// thread count.
   util::FlightRecorder* flight = nullptr;
-  /// Stall-watchdog wake interval in seconds (<= 0: off; needs `flight`).
-  /// A window in which no lane records a path or finishes a source while
-  /// at least one lane is busy logs a WARN where-is-everyone report.
-  double watchdog_seconds = -1;
-  /// When non-empty, each watchdog-detected stall also writes a flight
-  /// dump here (same format as the signal-triggered dumps).
-  std::string watchdog_dump_path;
   /// TEST-ONLY: invoked after every counted vector trial with the instance
   /// under trial.  Lets the stall-injection test block a worker
   /// deterministically; must never be set outside tests (any side effect on
@@ -235,14 +222,8 @@ class PathFinder {
   void search_source(Worker& w, netlist::NetId source);
   /// search_source wrapped with the per-source observability: a trace span
   /// on the worker's lane, the source's attribution row (exact — sources
-  /// never span workers), and the progress-heartbeat bookkeeping.
+  /// never span workers) and the recorder's source milestones.
   void run_source(Worker& w, std::size_t source_index, netlist::NetId source);
-  /// Registers the justification-depth histogram and resets the heartbeat
-  /// state.  Called once per run(), before any worker starts.
-  void prepare_observability(std::size_t n_sources, unsigned n_workers);
-  /// Emits an INFO progress line when the heartbeat interval elapsed (the
-  /// interval is claimed by CAS, so exactly one worker logs per period).
-  void maybe_heartbeat();
   void extend(Worker& w, netlist::NetId net, unsigned alive);
   void record(Worker& w, netlist::NetId sink_net, unsigned alive);
   /// Polls the shared wall-clock deadline; on expiry flags truncation and
@@ -279,18 +260,6 @@ class PathFinder {
   // Observability state (the histogram id is registered per run; all
   // recording is gated on opt_.metrics / opt_.trace being non-null).
   util::HistogramId justify_depth_hist_;
-  // Heartbeat bookkeeping: cheap relaxed atomics updated once per finished
-  // source, read by whichever worker claims the next heartbeat slot.
-  std::size_t total_sources_ = 0;
-  std::atomic<long> sources_done_{0};
-  std::atomic<long> trials_flushed_{0};
-  std::atomic<long> next_heartbeat_ms_{0};
-  // Per-worker heartbeat state (recorder-backed enrichment): trial counts
-  // at the previous heartbeat.  Atomics because successive heartbeats can
-  // be claimed by different workers.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> hb_lane_trials_;
-  unsigned hb_lanes_ = 0;
-  std::atomic<long> hb_prev_ms_{0};
   /// Attaches the flight-recorder lane matching w.tid (plus the justifier
   /// hooks).  Called once per worker, after tid is set.
   void attach_recorder(Worker& w);

@@ -143,7 +143,7 @@ void write_run_report(const RunReportInputs& in, std::ostream& os) {
          << jkey("events_recorded") << ": " << in.flight->total_events()
          << ",\n    " << jkey("stalls") << ": " << in.flight->stalls()
          << ",\n    " << jkey("watchdog_seconds") << ": "
-         << num(in.options != nullptr ? in.options->watchdog_seconds : -1.0);
+         << num(in.flight->watchdog_seconds());
     }
     os << "\n  ";
   }

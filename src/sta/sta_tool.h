@@ -19,12 +19,11 @@ struct StaToolOptions {
   /// source order and the retained-path heaps below see the exact
   /// sequential delivery sequence.
   ///
-  /// The observability hooks (finder.metrics / finder.trace /
-  /// finder.progress_interval_seconds) are shared by the whole tool run:
-  /// StaTool adds its delay-calculation counters and sta/run, sta/sort
-  /// trace spans through the same registry and collector.  Instrumentation
-  /// never feeds back into the analysis, so StaResult::paths is
-  /// bit-identical with it on or off.
+  /// The observability hooks (finder.metrics / finder.trace) are shared by
+  /// the whole tool run: StaTool adds its delay-calculation counters and
+  /// sta/run, sta/sort trace spans through the same registry and
+  /// collector.  Instrumentation never feeds back into the analysis, so
+  /// StaResult::paths is bit-identical with it on or off.
   PathFinderOptions finder;
   DelayCalcOptions delay;
   /// Keep only the N slowest timed paths (<0: keep everything).

@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "util/log.h"
+#include "util/strings.h"
 
 namespace sasta::util {
 
@@ -266,7 +267,7 @@ bool FlightRecorder::dump_to_path(const char* path) const {
 }
 
 // ---------------------------------------------------------------------------
-// Stall report + watchdog (normal context; free to allocate/format).
+// Stall report + run monitor (normal context; free to allocate/format).
 
 std::string format_stall_report(
     const FlightRecorder& rec, double stalled_seconds,
@@ -298,20 +299,25 @@ std::string format_stall_report(
   return os.str();
 }
 
-StallWatchdog::StallWatchdog(FlightRecorder& rec, double interval_seconds,
-                             Hooks hooks)
+RunMonitor::RunMonitor(FlightRecorder& rec, Options options)
     : rec_(rec),
-      interval_seconds_(std::max(0.01, interval_seconds)),
-      hooks_(std::move(hooks)) {
+      opt_(std::move(options)),
+      line_trials_(rec.num_lanes(), 0),
+      line_us_(rec.now_us()),
+      stall_sigs_(rec.num_lanes(), 0) {
+  for (double* s : {&opt_.progress_seconds, &opt_.watchdog_seconds}) {
+    if (*s > 0) *s = std::max(0.01, *s);
+  }
+  if (opt_.watchdog_seconds > 0) rec_.watchdog_seconds_ = opt_.watchdog_seconds;
   thread_ = std::thread([this] {
 #if defined(__linux__)
-    pthread_setname_np(pthread_self(), "sasta-watchdog");
+    pthread_setname_np(pthread_self(), "sasta-monitor");
 #endif
     loop();
   });
 }
 
-StallWatchdog::~StallWatchdog() {
+RunMonitor::~RunMonitor() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
@@ -321,7 +327,7 @@ StallWatchdog::~StallWatchdog() {
   thread_.join();
 }
 
-void StallWatchdog::tick_for_testing() {
+void RunMonitor::tick_for_testing() {
   std::unique_lock<std::mutex> lk(mu_);
   const std::uint64_t target = ++ticks_requested_;
   cv_.notify_all();
@@ -330,58 +336,110 @@ void StallWatchdog::tick_for_testing() {
   });
 }
 
-void StallWatchdog::loop() {
-  const auto interval = std::chrono::duration<double>(interval_seconds_);
-  std::vector<std::uint64_t> prev(rec_.num_lanes(), 0);
-  bool have_prev = false;
-  double stalled_for = 0;
+void RunMonitor::loop() {
+  using Clock = std::chrono::steady_clock;
+  // A schedule's next wall-clock deadline; an unarmed one is never due.
+  const auto next = [](double seconds) {
+    return seconds > 0 ? Clock::now() +
+                             std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(seconds))
+                       : Clock::time_point::max();
+  };
+  Clock::time_point progress_at = next(opt_.progress_seconds);
+  Clock::time_point stall_at = next(opt_.watchdog_seconds);
   for (;;) {
+    bool progress_due = opt_.progress_seconds > 0;
+    bool stall_due = opt_.watchdog_seconds > 0;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      if (hooks_.manual_tick) {
-        // Injectable pacing: a window closes only when the test hands one
-        // over, never on the wall clock — evaluation below is unchanged.
+      if (opt_.manual_tick) {
+        // Injectable pacing: a tick runs only when the test hands one over,
+        // never on the wall clock — evaluation below is unchanged.
         cv_.wait(lk, [this] { return stop_ || ticks_requested_ > ticks_done_; });
         if (stop_) return;
       } else {
-        if (cv_.wait_for(lk, interval, [this] { return stop_; })) return;
+        if (cv_.wait_until(lk, std::min(progress_at, stall_at),
+                           [this] { return stop_; })) {
+          return;
+        }
+        const Clock::time_point now = Clock::now();
+        progress_due = now >= progress_at;
+        stall_due = now >= stall_at;
+        if (progress_due) progress_at = next(opt_.progress_seconds);
+        if (stall_due) stall_at = next(opt_.watchdog_seconds);
       }
     }
-    bool any_busy = false;
-    bool progressed = false;
-    for (unsigned i = 0; i < rec_.num_lanes(); ++i) {
-      const FlightLane::Activity a = rec_.lane(i).activity();
-      const std::uint64_t sig = a.paths + a.sources_done;
-      if (a.source != kFlightIdle) any_busy = true;
-      if (!have_prev || sig != prev[i]) progressed = true;
-      prev[i] = sig;
-    }
-    if (!have_prev) {  // first window only establishes the baseline
-      have_prev = true;
-    } else if (progressed || !any_busy) {
-      stalled_for = 0;
-    } else {
-      stalled_for += interval_seconds_;
-      rec_.note_stall();
-      const std::string report = format_stall_report(
-          rec_, stalled_for, hooks_.net_name, hooks_.inst_name);
-      if (hooks_.on_stall) {
-        hooks_.on_stall(report);
-      } else {
-        log_line(LogLevel::kWarning, report);
-      }
-      if (!hooks_.dump_path.empty()) {
-        rec_.dump_to_path(hooks_.dump_path.c_str());
-      }
-    }
-    if (hooks_.manual_tick) {
-      // Acknowledge the window only after all of its side effects (report,
-      // dump) landed, so tick_for_testing() returns to a settled state.
+    if (progress_due) log_progress();
+    if (stall_due) check_stall();
+    if (opt_.manual_tick) {
+      // Acknowledge the tick only after all of its side effects (line,
+      // report, dump) landed, so tick_for_testing() returns to a settled
+      // state.
       std::lock_guard<std::mutex> lk(mu_);
       ++ticks_done_;
       tick_done_cv_.notify_all();
     }
   }
+}
+
+void RunMonitor::log_progress() {
+  const std::uint64_t now_us = rec_.now_us();
+  const double span_s = std::max(0.001, (now_us - line_us_) / 1e6);
+  line_us_ = now_us;
+  std::uint64_t sources_done = 0;
+  std::uint64_t trials = 0;
+  std::ostringstream lanes;  // one segment per lane
+  for (unsigned i = 0; i < rec_.num_lanes(); ++i) {
+    const FlightLane::Activity a = rec_.lane(i).activity();
+    sources_done += a.sources_done;
+    trials += a.trials;
+    lanes << " | w" << i << " ";
+    if (a.source == kFlightIdle) {
+      lanes << "idle";
+    } else {
+      lanes << (opt_.net_name ? opt_.net_name(a.source)
+                              : std::to_string(a.source))
+            << " d" << a.depth;
+    }
+    lanes << " " << static_cast<long>((a.trials - line_trials_[i]) / span_s)
+          << "/s";
+    line_trials_[i] = a.trials;
+  }
+  const double elapsed = rec_.run_seconds();
+  std::ostringstream msg;
+  msg << "progress: " << sources_done << "/" << rec_.run_sources()
+      << " sources, " << trials << " vector trials ("
+      << static_cast<long>(elapsed > 0 ? trials / elapsed : 0.0) << "/s), "
+      << format_fixed(elapsed, 1) << " s elapsed" << lanes.str();
+  log_line(LogLevel::kInfo, msg.str());
+}
+
+void RunMonitor::check_stall() {
+  bool any_busy = false;
+  bool progressed = false;
+  for (unsigned i = 0; i < rec_.num_lanes(); ++i) {
+    const FlightLane::Activity a = rec_.lane(i).activity();
+    const std::uint64_t sig = a.paths + a.sources_done;
+    if (a.source != kFlightIdle) any_busy = true;
+    // The first window only establishes the baseline.
+    if (!have_sigs_ || sig != stall_sigs_[i]) progressed = true;
+    stall_sigs_[i] = sig;
+  }
+  have_sigs_ = true;
+  if (progressed || !any_busy) {
+    stalled_for_ = 0;
+    return;
+  }
+  stalled_for_ += opt_.watchdog_seconds;
+  rec_.note_stall();
+  const std::string report = format_stall_report(
+      rec_, stalled_for_, opt_.net_name, opt_.inst_name);
+  if (opt_.on_stall) {
+    opt_.on_stall(report);
+  } else {
+    log_line(LogLevel::kWarning, report);
+  }
+  if (!opt_.dump_path.empty()) rec_.dump_to_path(opt_.dump_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,16 +5,16 @@
 // in place.  Writers use relaxed atomic stores and never allocate, lock, or
 // branch on anything observable by the search, so recording cannot perturb
 // results (the neutrality invariant shared with metrics/trace/attribution).
-// Readers — the stall watchdog, the --progress heartbeat, and the
-// post-mortem dump path — run concurrently with writers: every slot word is
-// a std::atomic<uint64_t>, so concurrent snapshots are torn at worst, never
-// racy, and the snapshot logic discards slots the writer may have lapped.
+// Readers — the run monitor and the post-mortem dump path — run
+// concurrently with writers: every slot word is a std::atomic<uint64_t>, so
+// concurrent snapshots are torn at worst, never racy, and the snapshot
+// logic discards slots the writer may have lapped.
 //
 // On top of the rings live three consumers:
-//   * StallWatchdog — a thread that wakes every --watchdog-seconds, compares
-//     a per-lane progress signature (paths recorded + sources finished), and
-//     on a no-progress window logs a where-is-everyone report naming each
-//     worker's current source/gate/depth and writes a flight dump.
+//   * RunMonitor — one thread, armed by the caller around a run, that reads
+//     only the lanes: it logs the --progress line and, on a
+//     --watchdog-seconds window without progress, a where-is-everyone
+//     report plus a flight dump.
 //   * Post-mortem dumps — install_flight_signal_handlers() arms SIGSEGV /
 //     SIGABRT / SIGBUS handlers (dump, then re-raise the default action) and
 //     a SIGUSR1 on-demand trigger.  FlightRecorder::dump(fd) is
@@ -206,7 +206,23 @@ class FlightRecorder {
   void set_name_table(std::string table) { name_table_ = std::move(table); }
   const std::string& name_table() const { return name_table_; }
 
-  /// Watchdog bookkeeping: count of detected no-progress windows.
+  /// Progress-line bookkeeping: the search announces its source count once
+  /// per run, before any worker starts; the elapsed clock starts here.
+  void begin_run(std::size_t sources) {
+    run_sources_.store(sources, std::memory_order_relaxed);
+    run_start_us_.store(now_us(), std::memory_order_relaxed);
+  }
+  std::size_t run_sources() const {
+    return run_sources_.load(std::memory_order_relaxed);
+  }
+  /// Seconds since the last begin_run() (since construction before one).
+  double run_seconds() const {
+    return (now_us() - run_start_us_.load(std::memory_order_relaxed)) / 1e6;
+  }
+
+  /// Monitor bookkeeping: the stall window a RunMonitor armed (-1 while no
+  /// watchdog was armed) and the count of detected no-progress windows.
+  double watchdog_seconds() const { return watchdog_seconds_; }
   void note_stall() { stalls_.fetch_add(1, std::memory_order_relaxed); }
   long stalls() const { return stalls_.load(std::memory_order_relaxed); }
 
@@ -223,8 +239,13 @@ class FlightRecorder {
   bool dump_to_path(const char* path) const;
 
  private:
+  friend class RunMonitor;  // records its stall window
+
   std::vector<std::unique_ptr<FlightLane>> lanes_;
   std::string name_table_;
+  std::atomic<std::size_t> run_sources_{0};
+  std::atomic<std::uint64_t> run_start_us_{0};
+  double watchdog_seconds_ = -1;
   std::atomic<long> stalls_{0};
   std::int64_t epoch_ns_ = 0;
 };
@@ -237,13 +258,22 @@ std::string format_stall_report(
     const std::function<std::string(std::uint32_t)>& net_name,
     const std::function<std::string(std::uint32_t)>& inst_name);
 
-/// Background thread that detects no-global-progress windows.  Progress is
-/// paths recorded + sources finished (trial counts intentionally excluded:
-/// a livelocked search still burns trials).  A window with zero progress
-/// while at least one lane is busy fires the stall report.
-class StallWatchdog {
+/// The one live monitor of a run: a background thread that reads only the
+/// recorder lanes and serves two schedules.  The caller arms it around the
+/// run; the search never sees it.
+///   * Every progress_seconds, an INFO line "progress: D/T sources, N
+///     vector trials (R/s), E s elapsed" plus " | wI <source> d<depth>
+///     <rate>/s" (or "idle") per lane: D and N are the lanes' live sums, T
+///     and E come from begin_run(), lane rates span since the last line.
+///   * Every watchdog_seconds, the stall check: progress is paths recorded
+///     + sources finished (trial counts intentionally excluded: a
+///     livelocked search still burns trials).  A window with zero progress
+///     while at least one lane is busy fires the stall report and dump.
+class RunMonitor {
  public:
-  struct Hooks {
+  struct Options {
+    double progress_seconds = -1;  ///< progress-line period (<= 0: off)
+    double watchdog_seconds = -1;  ///< stall window (<= 0: off)
     std::function<std::string(std::uint32_t)> net_name;   // may be null
     std::function<std::string(std::uint32_t)> inst_name;  // may be null
     /// Called with the formatted report on each stalled window; defaults to
@@ -251,31 +281,41 @@ class StallWatchdog {
     std::function<void(const std::string&)> on_stall;
     /// When non-empty, a flight dump is written here on each stall.
     std::string dump_path;
-    /// TEST-ONLY injectable pacing: when true the watchdog thread never
+    /// TEST-ONLY injectable pacing: when true the monitor thread never
     /// waits on the wall clock — it sleeps until tick_for_testing() hands
-    /// it exactly one evaluation window.  Stall accounting still advances
-    /// by interval_seconds per tick, so reports read identically; the test
-    /// just controls *when* windows close instead of racing a timer.
+    /// it exactly one tick, which runs every armed schedule once.  Stall
+    /// accounting still advances by watchdog_seconds per tick, so reports
+    /// read identically; the test just controls *when* windows close
+    /// instead of racing a timer.
     bool manual_tick = false;
   };
-  StallWatchdog(FlightRecorder& rec, double interval_seconds, Hooks hooks);
-  ~StallWatchdog();  // stops and joins
+  RunMonitor(FlightRecorder& rec, Options options);
+  ~RunMonitor();  // stops and joins
 
-  StallWatchdog(const StallWatchdog&) = delete;
-  StallWatchdog& operator=(const StallWatchdog&) = delete;
+  RunMonitor(const RunMonitor&) = delete;
+  RunMonitor& operator=(const RunMonitor&) = delete;
 
-  /// TEST-ONLY (requires Hooks::manual_tick): closes one evaluation window
-  /// and blocks until the watchdog thread has fully processed it — any
-  /// stall report / dump for that window is complete when this returns.
+  /// TEST-ONLY (requires Options::manual_tick): runs one tick and blocks
+  /// until the monitor thread has fully processed it — any progress line,
+  /// stall report or dump for that tick is complete when this returns.
   /// Deterministic replacement for sleeping past a wall-clock interval.
   void tick_for_testing();
 
  private:
   void loop();
+  void log_progress();
+  void check_stall();
 
   FlightRecorder& rec_;
-  double interval_seconds_;
-  Hooks hooks_;
+  Options opt_;
+  // Monitor-thread state: lane trial counts at the previous progress line,
+  // and the stall check's previous progress signatures.
+  std::vector<std::uint64_t> line_trials_;
+  std::uint64_t line_us_ = 0;
+  std::vector<std::uint64_t> stall_sigs_;
+  bool have_sigs_ = false;
+  double stalled_for_ = 0;
+
   std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable tick_done_cv_;

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "cell/library_builder.h"
 #include "netlist/bench_parser.h"
+#include "netlist/iscas_gen.h"
 #include "netlist/levelize.h"
 #include "netlist/techmap.h"
+#include "netlist/verilog.h"
+#include "util/check.h"
 
 namespace sasta::netlist {
 namespace {
@@ -217,6 +224,48 @@ z2 = NOR(t1, t4)
     EXPECT_EQ(evaluate_netlist(r.netlist, pi), evaluate_prim(prim, pi))
         << "input " << m;
   }
+}
+
+/// The mapped netlist as Verilog text: equal text, equal netlist.
+std::string verilog_text(const Netlist& nl) {
+  std::ostringstream os;
+  write_verilog(nl, os);
+  return os.str();
+}
+
+// The one design resolver (CLI and daemon `load`) builds exactly what the
+// hand-written parse/generate + tech_map pipeline builds.
+TEST(ResolveDesign, MatchesTheHandWrittenPipeline) {
+  const ResolvedDesign c17 = resolve_design("c17", lib());
+  EXPECT_FALSE(c17.synthetic);
+  EXPECT_EQ(verilog_text(c17.netlist),
+            verilog_text(
+                tech_map(parse_bench_string(c17_bench_text(), "c17"), lib())
+                    .netlist));
+
+  const ResolvedDesign c432 = resolve_design("c432", lib());
+  EXPECT_TRUE(c432.synthetic);
+  EXPECT_EQ(
+      verilog_text(c432.netlist),
+      verilog_text(
+          tech_map(generate_iscas_like(iscas_profile("c432")), lib()).netlist));
+
+  // A .bench file and a mapped .v file resolve from the disk.
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string bench = (dir / "sasta_resolve_c17.bench").string();
+  const std::string verilog = (dir / "sasta_resolve_c17.v").string();
+  std::ofstream(bench) << c17_bench_text();
+  std::ofstream(verilog) << verilog_text(c17.netlist);
+  EXPECT_EQ(verilog_text(resolve_design(bench, lib()).netlist),
+            verilog_text(tech_map(parse_bench_file(bench), lib()).netlist));
+  EXPECT_EQ(verilog_text(resolve_design(verilog, lib()).netlist),
+            verilog_text(c17.netlist));
+  std::filesystem::remove(bench);
+  std::filesystem::remove(verilog);
+}
+
+TEST(ResolveDesign, UnknownNameThrows) {
+  EXPECT_THROW(resolve_design("no_such_design", lib()), util::Error);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Flight recorder integration battery: the recorder is strictly
 // result-neutral (report bytes identical on/off at every thread count),
-// actually records the expected event kinds during a real search, the
-// stall watchdog fires on an injected stall and its dump names the stuck
-// worker's source, and the --selfcheck reconciliation passes on honest
-// runs while catching injected counter corruption.
+// actually records the expected event kinds during a real search, the run
+// monitor's stall watchdog fires on an injected stall and its dump names
+// the stuck worker's source, its progress line names the parked worker's
+// source, and the --selfcheck reconciliation passes on honest runs while
+// catching injected counter corruption.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -28,6 +30,7 @@
 #include "test_charlib.h"
 #include "test_paths.h"
 #include "util/flight_recorder.h"
+#include "util/log.h"
 
 namespace sasta::sta {
 namespace {
@@ -141,12 +144,12 @@ TEST(FlightRecorderCoverage, SearchEmitsExpectedKindsAndActivityReconciles) {
   EXPECT_LE(sources, nl.primary_inputs().size());
 }
 
-// --- Stall watchdog, end to end ---------------------------------------------
+// --- Run monitor, end to end ------------------------------------------------
 
 // Inject a stall (the worker blocks on its first vector trial, mid-source)
 // and prove the watchdog fires and the dump it writes names the stuck
 // worker's source.  Deterministic: the search thread parks on a condition
-// variable until the test releases it, and the watchdog runs in manual-tick
+// variable until the test releases it, and the monitor runs in manual-tick
 // mode, so no assertion races a wall-clock timer.
 TEST(FlightRecorderWatchdog, InjectedStallFiresWatchdogAndDumpNamesWorker) {
   const netlist::Netlist nl = generated_circuit(3);
@@ -166,8 +169,6 @@ TEST(FlightRecorderWatchdog, InjectedStallFiresWatchdogAndDumpNamesWorker) {
   PathFinderOptions opt;
   opt.num_threads = 1;
   opt.flight = &rec;
-  // watchdog_seconds stays off: the test drives its own manual-tick
-  // watchdog so the run never creates a wall-clock one.
   opt.test_trial_hook = [&](netlist::InstId) {
     std::unique_lock<std::mutex> lk(mu);
     if (parked) return;  // only the first trial stalls
@@ -176,15 +177,16 @@ TEST(FlightRecorderWatchdog, InjectedStallFiresWatchdogAndDumpNamesWorker) {
     cv.wait(lk, [&] { return released; });
   };
 
-  util::StallWatchdog::Hooks hooks;
-  hooks.manual_tick = true;
-  hooks.dump_path = dump_path;
+  util::RunMonitor::Options mo;
+  mo.manual_tick = true;
+  mo.watchdog_seconds = 1.0;
+  mo.dump_path = dump_path;
   std::vector<std::string> reports;
-  hooks.on_stall = [&](const std::string& r) { reports.push_back(r); };
-  hooks.net_name = [&](std::uint32_t net) {
+  mo.on_stall = [&](const std::string& r) { reports.push_back(r); };
+  mo.net_name = [&](std::uint32_t net) {
     return nl.net(static_cast<netlist::NetId>(net)).name;
   };
-  util::StallWatchdog dog(rec, 1.0, hooks);
+  util::RunMonitor monitor(rec, mo);
 
   std::thread search([&] {
     PathFinder finder(nl, testing::test_charlib("90nm"), opt);
@@ -197,8 +199,8 @@ TEST(FlightRecorderWatchdog, InjectedStallFiresWatchdogAndDumpNamesWorker) {
   // The worker is now provably mid-source and blocked.  Window 1 records
   // the progress baseline; window 2 closes with zero progress while the
   // lane is busy, which is the stall definition.
-  dog.tick_for_testing();
-  dog.tick_for_testing();
+  monitor.tick_for_testing();
+  monitor.tick_for_testing();
   EXPECT_EQ(rec.stalls(), 1) << "watchdog missed a certain stall";
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_NE(reports[0].find("no progress for 1.0 s"), std::string::npos)
@@ -255,11 +257,12 @@ TEST(FlightRecorderWatchdog, HealthyRunReportsNoStalls) {
     cv.wait(lk, [&] { return released; });
   };
 
-  util::StallWatchdog::Hooks hooks;
-  hooks.manual_tick = true;
+  util::RunMonitor::Options mo;
+  mo.manual_tick = true;
+  mo.watchdog_seconds = 1.0;
   std::vector<std::string> reports;
-  hooks.on_stall = [&](const std::string& r) { reports.push_back(r); };
-  util::StallWatchdog dog(rec, 1.0, hooks);
+  mo.on_stall = [&](const std::string& r) { reports.push_back(r); };
+  util::RunMonitor monitor(rec, mo);
 
   std::thread search([&] {
     PathFinder finder(nl, testing::test_charlib("90nm"), opt);
@@ -269,7 +272,7 @@ TEST(FlightRecorderWatchdog, HealthyRunReportsNoStalls) {
     std::unique_lock<std::mutex> lk(mu);
     cv.wait(lk, [&] { return parked; });
   }
-  dog.tick_for_testing();  // baseline window, worker busy
+  monitor.tick_for_testing();  // baseline window, worker busy
   {
     std::lock_guard<std::mutex> lk(mu);
     released = true;
@@ -279,10 +282,86 @@ TEST(FlightRecorderWatchdog, HealthyRunReportsNoStalls) {
   // The run recorded paths and finished its sources between the baseline
   // tick and now: progress advanced, so this window must not fire.  The
   // windows after that see an idle recorder, which never stalls.
-  dog.tick_for_testing();
-  dog.tick_for_testing();
+  monitor.tick_for_testing();
+  monitor.tick_for_testing();
   EXPECT_EQ(rec.stalls(), 0);
   EXPECT_TRUE(reports.empty());
+}
+
+// The --progress line, end to end: with the worker parked mid-source, one
+// manual tick logs one whole progress line that counts no finished source
+// out of the run's total (begin_run) and names the parked worker's source.
+TEST(FlightRecorderMonitor, ProgressTickNamesParkedSource) {
+  const netlist::Netlist nl = generated_circuit(3);
+  util::FlightRecorder::Config cfg;
+  cfg.lanes = 1;
+  util::FlightRecorder rec(cfg);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+  PathFinderOptions opt;
+  opt.num_threads = 1;
+  opt.flight = &rec;
+  opt.test_trial_hook = [&](netlist::InstId) {
+    std::unique_lock<std::mutex> lk(mu);
+    if (parked) return;  // only the first trial stalls
+    parked = true;
+    cv.notify_all();
+    cv.wait(lk, [&] { return released; });
+  };
+
+  std::ostringstream captured;
+  std::streambuf* old_buf = std::cerr.rdbuf(captured.rdbuf());
+  const util::LogLevel old_level = util::log_level();
+  util::set_log_level(util::LogLevel::kInfo);
+  std::string source_name;
+  {
+    util::RunMonitor::Options mo;
+    mo.manual_tick = true;
+    mo.progress_seconds = 2.0;
+    mo.net_name = [&](std::uint32_t net) {
+      return nl.net(static_cast<netlist::NetId>(net)).name;
+    };
+    util::RunMonitor monitor(rec, mo);
+    std::thread search([&] {
+      PathFinder finder(nl, testing::test_charlib("90nm"), opt);
+      finder.run([](const TruePath&) {});
+    });
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&] { return parked; });
+    }
+    const std::uint32_t source = rec.lane(0).activity().source;
+    EXPECT_NE(source, util::kFlightIdle) << "the parked worker shows idle";
+    if (source != util::kFlightIdle) {
+      source_name = nl.net(static_cast<netlist::NetId>(source)).name;
+    }
+    monitor.tick_for_testing();
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      released = true;
+    }
+    cv.notify_all();
+    search.join();
+  }
+  util::set_log_level(old_level);
+  std::cerr.rdbuf(old_buf);
+
+  const std::string out = captured.str();
+  const std::string want_head =
+      "[sasta INFO] progress: 0/" + std::to_string(rec.run_sources()) +
+      " sources, ";
+  EXPECT_GT(rec.run_sources(), 0u);
+  ASSERT_EQ(out.rfind(want_head, 0), 0u) << out;
+  ASSERT_EQ(out.find('\n'), out.size() - 1) << "want one whole line:\n"
+                                             << out;
+  EXPECT_NE(out.find(" vector trials ("), std::string::npos) << out;
+  EXPECT_NE(out.find(" s elapsed | w0 " + source_name + " d"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(rec.stalls(), 0) << "no watchdog was armed";
 }
 
 // --- Selfcheck reconciliation -----------------------------------------------

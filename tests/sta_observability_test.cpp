@@ -2,14 +2,18 @@
 // attribution rows reconcile exactly with the aggregate PathFinderStats,
 // the enumerated paths are bit-identical with instrumentation on or off at
 // every thread count, the emitted trace is valid Chrome trace-event JSON
-// whose worker lanes match the rows' workers, and the --progress heartbeat
-// emits whole lines.
+// whose worker lanes match the rows' workers, and the run monitor's
+// --progress lines stay whole beside a multi-worker search.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "netlist/bench_parser.h"
 #include "netlist/iscas_gen.h"
@@ -18,6 +22,7 @@
 #include "tech/technology.h"
 #include "test_charlib.h"
 #include "test_json.h"
+#include "util/flight_recorder.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -112,7 +117,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, PerSourceReconciliation,
                          ::testing::Values(1, 8));
 
 // Acceptance criterion: StaResult::paths is bit-identical with
-// instrumentation on vs off, at 1 and 8 threads.
+// instrumentation on vs off, at 1 and 8 threads.  "On" includes the flight
+// recorder with a run monitor reading it throughout the run.
 TEST(Observability, InstrumentationDoesNotPerturbResults) {
   const netlist::Netlist nl = generated_circuit(23);
   const auto& cl = testing::test_charlib("90nm");
@@ -126,11 +132,21 @@ TEST(Observability, InstrumentationDoesNotPerturbResults) {
 
     util::MetricsRegistry metrics;
     util::TraceCollector trace;
+    util::FlightRecorder::Config cfg;
+    cfg.lanes = 8;
+    util::FlightRecorder rec(cfg);
     StaToolOptions instrumented = plain;
     instrumented.finder.metrics = &metrics;
     instrumented.finder.trace = &trace;
-    instrumented.finder.progress_interval_seconds = 1e-9;
-    const StaResult got = StaTool(nl, cl, tech, instrumented).run();
+    instrumented.finder.flight = &rec;
+    util::RunMonitor::Options mo;
+    mo.progress_seconds = 0.01;
+    mo.watchdog_seconds = 0.01;
+    mo.on_stall = [](const std::string&) {};
+    const StaResult got = [&] {
+      util::RunMonitor monitor(rec, mo);
+      return StaTool(nl, cl, tech, instrumented).run();
+    }();
 
     ASSERT_EQ(got.paths.size(), want.paths.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < want.paths.size(); ++i) {
@@ -191,28 +207,56 @@ TEST(Observability, TraceLanesMatchAttributionWorkers) {
   EXPECT_TRUE(testing::is_valid_json(os.str()));
 }
 
-// The --progress heartbeat emits whole "[sasta INFO] progress: ..." lines
-// (single-write logging: no sheared fragments even under the worker pool).
-TEST(Observability, HeartbeatEmitsWholeProgressLines) {
+// The run monitor beside a multi-worker search with the metrics sink and
+// the attribution table armed (the CLI arms all of them for --progress
+// --report-json): every stderr line stays whole while the rows still
+// reconcile exactly with the aggregate stats and the histogram sees every
+// recorded path.  A ticker thread closes monitor ticks while the workers
+// run, and one last tick after the run guarantees at least one line.
+TEST(Observability, MonitorLinesStayWholeBesideMultiWorkerSearch) {
   const netlist::Netlist nl = generated_circuit(41);
   std::ostringstream captured;
   std::streambuf* old_buf = std::cerr.rdbuf(captured.rdbuf());
   const util::LogLevel old_level = util::log_level();
   util::set_log_level(util::LogLevel::kInfo);
 
+  util::MetricsRegistry metrics;
+  SearchAttribution attribution;
+  util::FlightRecorder::Config cfg;
+  cfg.lanes = 4;
+  util::FlightRecorder rec(cfg);
   PathFinderOptions opt;
   opt.num_threads = 4;
-  opt.progress_interval_seconds = 1e-9;  // fire at the first opportunity
-  PathFinder finder(nl, testing::test_charlib("90nm"), opt);
-  finder.run([](const TruePath&) {});
+  opt.metrics = &metrics;
+  opt.attribution = &attribution;
+  opt.flight = &rec;
+  PathFinderStats stats;
+  {
+    util::RunMonitor::Options mo;
+    mo.manual_tick = true;
+    mo.progress_seconds = 2.0;
+    mo.net_name = [&](std::uint32_t net) {
+      return nl.net(static_cast<netlist::NetId>(net)).name;
+    };
+    util::RunMonitor monitor(rec, mo);
+    std::atomic<bool> done{false};
+    std::thread ticker([&] {
+      while (!done.load()) {
+        monitor.tick_for_testing();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    PathFinder finder(nl, testing::test_charlib("90nm"), opt);
+    stats = finder.run([](const TruePath&) {});
+    done.store(true);
+    ticker.join();
+    monitor.tick_for_testing();
+  }
 
   util::set_log_level(old_level);
   std::cerr.rdbuf(old_buf);
 
   const std::string out = captured.str();
-  ASSERT_NE(out.find("progress: "), std::string::npos) << out;
-  // Every line is complete: prefix at the start, sources/total and elapsed
-  // fields present.
   std::istringstream lines(out);
   std::string line;
   long progress_lines = 0;
@@ -222,46 +266,18 @@ TEST(Observability, HeartbeatEmitsWholeProgressLines) {
     if (line.find("progress: ") != std::string::npos) {
       ++progress_lines;
       EXPECT_NE(line.find(" sources, "), std::string::npos) << line;
-      EXPECT_NE(line.find(" s elapsed"), std::string::npos) << line;
+      EXPECT_NE(line.find(" s elapsed | w0 "), std::string::npos) << line;
+      EXPECT_NE(line.find(" | w3 "), std::string::npos) << line;
     }
   }
-  EXPECT_GT(progress_lines, 0);
-}
-
-// The heartbeat must coexist with the metrics sink and the attribution
-// table (the CLI arms all three for --progress --report-json): progress
-// lines stay whole while the rows still reconcile exactly with the
-// aggregate stats and the histogram sees every recorded path.
-TEST(Observability, HeartbeatCoexistsWithMetricsSink) {
-  const netlist::Netlist nl = generated_circuit(41);
-  std::ostringstream captured;
-  std::streambuf* old_buf = std::cerr.rdbuf(captured.rdbuf());
-  const util::LogLevel old_level = util::log_level();
-  util::set_log_level(util::LogLevel::kInfo);
-
-  util::MetricsRegistry metrics;
-  SearchAttribution attribution;
-  PathFinderOptions opt;
-  opt.num_threads = 4;
-  opt.progress_interval_seconds = 1e-9;
-  opt.metrics = &metrics;
-  opt.attribution = &attribution;
-  PathFinder finder(nl, testing::test_charlib("90nm"), opt);
-  const PathFinderStats stats = finder.run([](const TruePath&) {});
-
-  util::set_log_level(old_level);
-  std::cerr.rdbuf(old_buf);
-
-  // Heartbeat fired and stayed line-atomic.
-  const std::string out = captured.str();
-  ASSERT_NE(out.find("progress: "), std::string::npos) << out;
-  std::istringstream lines(out);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (!line.empty()) {
-      EXPECT_EQ(line.rfind("[sasta ", 0), 0u) << "sheared line: " << line;
-    }
-  }
+  EXPECT_GT(progress_lines, 0) << out;
+  // The last tick came after the run: every source is done and every
+  // trial is in the lanes' live sum.
+  const std::string last_head =
+      "progress: " + std::to_string(rec.run_sources()) + "/" +
+      std::to_string(rec.run_sources()) + " sources, " +
+      std::to_string(stats.vector_trials) + " vector trials";
+  EXPECT_NE(out.find(last_head), std::string::npos) << out;
 
   // The rows still reconcile exactly, and so does the metrics sink.
   EXPECT_EQ(row_totals(attribution), SearchCounters(stats));

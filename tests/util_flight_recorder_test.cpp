@@ -1,13 +1,15 @@
 // Flight recorder unit battery: ring wraparound and lapped-window
 // discard, activity-slot bookkeeping, torn-read safety under a concurrent
 // writer (the TSan matrix runs this file), the async-signal-safe dump
-// format, the stall report/watchdog, and the signal plumbing (SIGUSR1
+// format, the stall report, the run monitor's two schedules (stall
+// watchdog and progress line), and the signal plumbing (SIGUSR1
 // on-demand dump, SIGINT cooperative interrupt).
 #include "util/flight_recorder.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -17,6 +19,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/log.h"
 
 namespace sasta::util {
 namespace {
@@ -257,28 +261,30 @@ TEST(StallReport, NamesStuckWorkersAndMarksIdleOnes) {
   EXPECT_NE(raw.find("w0: source 3, gate 7"), std::string::npos) << raw;
 }
 
-// Deterministic window pacing: manual_tick hands the watchdog exactly one
+// Deterministic window pacing: manual_tick hands the monitor exactly one
 // evaluation window per tick_for_testing() call, so these tests never race
 // a wall-clock timer (the former sleep-loop versions flaked on loaded CI
 // hosts where 100 x 10 ms could elapse without the 30 ms timer firing).
-TEST(StallWatchdog, FiresOnNoProgressWindowAndWritesDump) {
+TEST(RunMonitor, FiresOnNoProgressWindowAndWritesDump) {
   FlightRecorder rec(small_config(1, 8));
   rec.lane(0).set_source(5);  // busy forever, no progress
 
   std::vector<std::string> reports;  // manual ticks serialize the callback
-  StallWatchdog::Hooks hooks;
-  hooks.manual_tick = true;
-  hooks.on_stall = [&](const std::string& r) { reports.push_back(r); };
-  hooks.dump_path = temp_path("sasta_watchdog_unit.dump");
+  RunMonitor::Options mo;
+  mo.manual_tick = true;
+  // Manual ticks never wait on the wall clock, so a human-scale window
+  // costs nothing and keeps the report's stall accounting readable.
+  mo.watchdog_seconds = 1.0;
+  mo.on_stall = [&](const std::string& r) { reports.push_back(r); };
+  mo.dump_path = temp_path("sasta_watchdog_unit.dump");
+  EXPECT_EQ(rec.watchdog_seconds(), -1.0) << "no watchdog armed yet";
   {
-    // Manual ticks never wait on the wall clock, so a human-scale interval
-    // costs nothing and keeps the report's stall accounting readable.
-    StallWatchdog dog(rec, 1.0, hooks);
-    dog.tick_for_testing();  // window 1 establishes the baseline
+    RunMonitor monitor(rec, mo);
+    monitor.tick_for_testing();  // window 1 establishes the baseline
     EXPECT_TRUE(reports.empty());
-    dog.tick_for_testing();  // window 2: busy lane, unchanged signature
+    monitor.tick_for_testing();  // window 2: busy lane, unchanged signature
     ASSERT_EQ(reports.size(), 1u) << "no-progress window must fire";
-    dog.tick_for_testing();  // still stuck: the stall persists and re-fires
+    monitor.tick_for_testing();  // still stuck: the stall persists and re-fires
     ASSERT_EQ(reports.size(), 2u);
   }
   EXPECT_NE(reports[0].find("no progress for 1.0 s"), std::string::npos)
@@ -287,35 +293,38 @@ TEST(StallWatchdog, FiresOnNoProgressWindowAndWritesDump) {
       << reports[1];
   EXPECT_NE(reports[0].find("w0: source 5"), std::string::npos);
   EXPECT_EQ(rec.stalls(), 2);
-  const std::string dump = slurp(hooks.dump_path);
-  std::filesystem::remove(hooks.dump_path);
+  // The armed window outlives the monitor: the run report reads it after.
+  EXPECT_EQ(rec.watchdog_seconds(), 1.0);
+  const std::string dump = slurp(mo.dump_path);
+  std::filesystem::remove(mo.dump_path);
   EXPECT_NE(dump.find("sasta-flightdump-v1\n"), std::string::npos);
   EXPECT_NE(dump.find("stalls "), std::string::npos);
   EXPECT_NE(dump.find("end\n"), std::string::npos);
 }
 
-TEST(StallWatchdog, StaysQuietWhenIdleOrProgressing) {
+TEST(RunMonitor, StaysQuietWhenIdleOrProgressing) {
   FlightRecorder rec(small_config(2, 8));
   std::atomic<int> fires{0};
-  StallWatchdog::Hooks hooks;
-  hooks.manual_tick = true;
-  hooks.on_stall = [&](const std::string&) { ++fires; };
+  RunMonitor::Options mo;
+  mo.manual_tick = true;
+  mo.watchdog_seconds = 0.02;
+  mo.on_stall = [&](const std::string&) { ++fires; };
 
   {
     // All lanes idle: never a stall, no matter how many windows close.
-    StallWatchdog dog(rec, 0.02, hooks);
-    for (int i = 0; i < 5; ++i) dog.tick_for_testing();
+    RunMonitor monitor(rec, mo);
+    for (int i = 0; i < 5; ++i) monitor.tick_for_testing();
   }
   EXPECT_EQ(fires.load(), 0);
 
   {
     // Busy but progressing: each window sees a new progress signature.
     rec.lane(0).set_source(1);
-    StallWatchdog dog(rec, 0.02, hooks);
-    dog.tick_for_testing();  // baseline
+    RunMonitor monitor(rec, mo);
+    monitor.tick_for_testing();  // baseline
     for (int i = 0; i < 10; ++i) {
       rec.lane(0).note_path_recorded();
-      dog.tick_for_testing();
+      monitor.tick_for_testing();
     }
   }
   EXPECT_EQ(fires.load(), 0);
@@ -323,13 +332,80 @@ TEST(StallWatchdog, StaysQuietWhenIdleOrProgressing) {
 }
 
 // A destructor racing a pending tick must not deadlock: stop wins.
-TEST(StallWatchdog, DestructionWithNoTicksIsClean) {
+TEST(RunMonitor, DestructionWithNoTicksIsClean) {
   FlightRecorder rec(small_config(1, 8));
-  StallWatchdog::Hooks hooks;
-  hooks.manual_tick = true;
-  StallWatchdog dog(rec, 0.02, hooks);
+  RunMonitor::Options mo;
+  mo.manual_tick = true;
+  mo.watchdog_seconds = 0.02;
+  RunMonitor monitor(rec, mo);
   // No ticks at all: the thread is parked on the manual-tick wait and must
-  // be released by ~StallWatchdog.
+  // be released by ~RunMonitor.
+}
+
+/// Runs `body` with std::cerr captured at INFO level; returns what it logged.
+template <typename Body>
+std::string capture_info_log(Body&& body) {
+  std::ostringstream captured;
+  std::streambuf* old_buf = std::cerr.rdbuf(captured.rdbuf());
+  const LogLevel old_level = log_level();
+  set_log_level(LogLevel::kInfo);
+  body();
+  set_log_level(old_level);
+  std::cerr.rdbuf(old_buf);
+  return captured.str();
+}
+
+// One progress tick reads only the lanes: D and N are the lanes' live sums
+// (a busy lane's trials count before its source finishes), T comes from
+// begin_run(), and every lane gets a segment naming its source and depth.
+TEST(RunMonitor, ProgressLineSumsTheLanes) {
+  FlightRecorder rec(small_config(2, 8));
+  rec.begin_run(7);
+  rec.lane(0).set_source(3);
+  rec.lane(0).set_gate(9, 4);
+  for (int i = 0; i < 5; ++i) rec.lane(0).count_trial();
+  for (int i = 0; i < 2; ++i) rec.lane(1).count_trial();
+  rec.lane(1).note_source_done();
+
+  RunMonitor::Options mo;
+  mo.manual_tick = true;
+  mo.progress_seconds = 2.0;
+  mo.net_name = [](std::uint32_t n) { return "N" + std::to_string(n); };
+  const std::string out = capture_info_log([&] {
+    RunMonitor monitor(rec, mo);
+    monitor.tick_for_testing();
+  });
+  EXPECT_EQ(out.rfind("[sasta INFO] progress: 1/7 sources, 7 vector trials (",
+                      0),
+            0u)
+      << out;
+  EXPECT_NE(out.find(" s elapsed | w0 N3 d4 "), std::string::npos) << out;
+  EXPECT_NE(out.find(" | w1 idle "), std::string::npos) << out;
+  EXPECT_EQ(out.find("watchdog"), std::string::npos) << "no watchdog armed";
+  EXPECT_EQ(rec.stalls(), 0);
+  EXPECT_EQ(rec.watchdog_seconds(), -1.0);
+}
+
+// On the wall clock both schedules run on the one monitor thread: a stuck
+// busy lane yields progress lines and stall reports alike.
+TEST(RunMonitor, BothSchedulesFireOnTheWallClock) {
+  FlightRecorder rec(small_config(1, 8));
+  rec.begin_run(1);
+  rec.lane(0).set_source(2);  // busy forever, no progress
+  std::atomic<int> stalls{0};
+  RunMonitor::Options mo;
+  mo.progress_seconds = 0.01;
+  mo.watchdog_seconds = 0.01;
+  mo.on_stall = [&](const std::string&) { ++stalls; };
+  const std::string out = capture_info_log([&] {
+    RunMonitor monitor(rec, mo);
+    for (int i = 0; i < 500 && stalls.load() < 2; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  EXPECT_GE(stalls.load(), 2);
+  EXPECT_GE(rec.stalls(), 2);
+  EXPECT_NE(out.find("progress: 0/1 sources"), std::string::npos) << out;
 }
 
 // --- Signal plumbing --------------------------------------------------------

@@ -55,9 +55,9 @@
 //                        stall watchdog; read it back with sasta_inspect.
 //   --watchdog-seconds S stall watchdog: warn (and dump) when no global
 //                        progress is made for S seconds (default off).
-//                        --flight-dump and --watchdog-seconds need the
-//                        recorder: with --flight-recorder off they are
-//                        usage errors.
+//                        --flight-dump, --watchdog-seconds and --progress
+//                        need the recorder: with --flight-recorder off they
+//                        are usage errors.
 //   --serve              run as a persistent timing daemon instead of one
 //                        batch analysis: bind --socket, keep characterized
 //                        libraries / netlists / per-source results warm
@@ -86,7 +86,9 @@
 //                        stats; any mismatch prints a diff and exits 3
 //   --profile            print the human-readable search-cost profile (top
 //                        sources by seconds, hot gates by vector trials)
-//   --progress [every 2s] heartbeat: sources done/total, trials/sec, elapsed
+//   --progress           every 2 s a line: sources done/total, vector
+//                        trials and trials/sec, elapsed, and each worker's
+//                        source, depth and trial rate (needs the recorder)
 //   --log-level L        debug | info | warn | error    (default warn;
 //                        -q wins, --log-level wins over the implicit info)
 //   -v                   shorthand for --log-level debug
@@ -104,8 +106,6 @@
 #include "cell/library_builder.h"
 #include "charlib/serialize.h"
 #include "golden/pathsim.h"
-#include "netlist/bench_parser.h"
-#include "netlist/iscas_gen.h"
 #include "netlist/techmap.h"
 #include "netlist/verilog.h"
 #include "server/server.h"
@@ -162,7 +162,7 @@ struct Options {
   std::string socket_path;    ///< AF_UNIX socket path for --serve
   bool selfcheck = false;     ///< end-of-run counter reconciliation
   bool profile = false;       ///< print the search-cost profile summary
-  bool progress = false;      ///< periodic search-progress heartbeat
+  bool progress = false;      ///< run monitor's 2 s progress line
   /// Explicit --log-level / -v choice; unset = infer from -q.
   std::optional<sasta::util::LogLevel> log_level;
 };
@@ -309,10 +309,13 @@ Options parse_args(int argc, char** argv) {
     }
   }
   if (!o.flight_recorder) {
-    // Both flags only act through the recorder.
-    if (o.watchdog_seconds >= 0 || !o.flight_dump.empty()) {
-      std::cerr << (o.watchdog_seconds >= 0 ? "--watchdog-seconds"
-                                           : "--flight-dump")
+    // These flags only act through the recorder.
+    const char* needs = o.watchdog_seconds >= 0  ? "--watchdog-seconds"
+                        : o.progress             ? "--progress"
+                        : !o.flight_dump.empty() ? "--flight-dump"
+                                                 : nullptr;
+    if (needs != nullptr) {
+      std::cerr << needs
                 << " needs the flight recorder (drop --flight-recorder off)\n";
       usage(argv[0]);
     }
@@ -413,8 +416,7 @@ int main(int argc, char** argv) {
 
   // Observability sinks: enabled by their output flags, shared by every
   // pipeline phase below.  --report-json embeds the metrics, so it arms
-  // them even without --metrics-json.  --progress only needs the
-  // heartbeat, which runs without any sink.  --report-json, --profile and
+  // them even without --metrics-json.  --report-json, --profile and
   // --selfcheck read the attribution rows (armed below).
   util::MetricsRegistry metrics_registry;
   util::TraceCollector trace_collector;
@@ -429,34 +431,15 @@ int main(int argc, char** argv) {
     const auto& tech = tech::technology(opt.tech);
 
     // --- Load / generate and map the netlist -------------------------------
-    netlist::Netlist mapped_storage;
-    const netlist::Netlist* nlp = nullptr;
-    {
+    const netlist::ResolvedDesign design = [&] {
       Phase load_phase(metrics, trace, "load_netlist");
-      if (std::filesystem::exists(opt.netlist) &&
-          (opt.netlist.ends_with(".v") ||
-           opt.netlist.ends_with(".verilog"))) {
-        mapped_storage = netlist::parse_verilog_file(opt.netlist, lib);
-        nlp = &mapped_storage;
-      } else {
-        netlist::PrimNetlist prim;
-        if (opt.netlist == "c17") {
-          prim =
-              netlist::parse_bench_string(netlist::c17_bench_text(), "c17");
-        } else if (std::filesystem::exists(opt.netlist)) {
-          prim = netlist::parse_bench_file(opt.netlist);
-        } else {
-          prim = netlist::generate_iscas_like(
-              netlist::iscas_profile(opt.netlist));
-          std::cerr << "note: '" << opt.netlist
-                    << "' is a synthetic ISCAS-like profile circuit\n";
-        }
-        auto mapped = netlist::tech_map(prim, lib);
-        mapped_storage = std::move(mapped.netlist);
-        nlp = &mapped_storage;
-      }
+      return netlist::resolve_design(opt.netlist, lib);
+    }();
+    if (design.synthetic) {
+      std::cerr << "note: '" << opt.netlist
+                << "' is a synthetic ISCAS-like profile circuit\n";
     }
-    const netlist::Netlist& nl = *nlp;
+    const netlist::Netlist& nl = design.netlist;
     std::cout << "circuit " << nl.name() << ": " << nl.num_instances()
               << " cells (" << nl.complex_gate_count() << " complex), "
               << nl.primary_inputs().size() << " PIs, "
@@ -490,11 +473,10 @@ int main(int argc, char** argv) {
     if (!opt.report_json.empty() || opt.profile || opt.selfcheck) {
       sopt.finder.attribution = &attribution;
     }
-    if (opt.progress) sopt.finder.progress_interval_seconds = 2.0;
 
     // --- Flight recorder + signal plumbing ----------------------------------
     // The recorder is write-only for the search (results are bit-identical
-    // on/off); the crash/SIGUSR1 handlers and the stall watchdog read it.
+    // on/off); the crash/SIGUSR1 handlers and the run monitor read it.
     // SIGINT handling is independent of the recorder: the first Ctrl-C
     // requests a cooperative stop so a partial report can still be written.
     util::FlightRecorder::Config fcfg;
@@ -518,13 +500,30 @@ int main(int argc, char** argv) {
       flight->set_name_table(std::move(names));
       util::install_flight_signal_handlers(flight, flight_dump);
       sopt.finder.flight = flight;
-      sopt.finder.watchdog_seconds = opt.watchdog_seconds;
-      sopt.finder.watchdog_dump_path = flight_dump;
     }
     util::install_interrupt_handler();
 
     sta::StaTool tool(nl, cl, tech, sopt);
+    // The run monitor serves --progress and the stall watchdog from the
+    // recorder lanes (both flags need the recorder) for the length of the
+    // run; the search itself never sees it.
+    std::optional<util::RunMonitor> monitor;
+    if (opt.progress || opt.watchdog_seconds > 0) {
+      util::RunMonitor::Options mo;
+      mo.progress_seconds = opt.progress ? 2.0 : -1.0;
+      mo.watchdog_seconds = opt.watchdog_seconds;
+      // The lanes hold only ids the search wrote (idle is never named).
+      mo.net_name = [&nl](std::uint32_t id) {
+        return nl.net(static_cast<netlist::NetId>(id)).name;
+      };
+      mo.inst_name = [&nl](std::uint32_t id) {
+        return nl.instance(static_cast<netlist::InstId>(id)).name;
+      };
+      mo.dump_path = flight_dump;
+      monitor.emplace(flight_storage, std::move(mo));
+    }
     sta::StaResult res = tool.run();
+    monitor.reset();
     std::optional<sta::MultiCornerResult> corners;
     if (opt.corners) {
       corners = sta::analyze_corners(nl, cl, tech, sta::default_corners(tech),
